@@ -12,6 +12,7 @@ so identical invocations produce identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -20,9 +21,8 @@ from typing import Optional
 from . import __version__
 from ._backend import backend_name
 from .criteria import (CONDITION_NAMES, ClassParams, ConditionForm,
-                       DixitPalParams, convex_condition, critical_nu,
-                       jnu_condition, l_condition, qnu_condition,
-                       starlike_condition, t_condition)
+                       DixitPalParams, _evaluate, _operator_order, _rule,
+                       critical_nu)
 from .errors import (BesselStruveError, BracketError, DomainError,
                      InconclusiveError, ParameterError)
 from .operators import (Outcome, coefficient_sum_L, coefficient_sum_T,
@@ -108,32 +108,17 @@ def _parse_range(text: str, steps_required: bool = True):
 
 
 def _dixit_pal(args) -> Optional[DixitPalParams]:
+    """The --A/--B/--tau-abs triple, or None; required by conditions on it."""
     given = [args.A is not None, args.B is not None, args.tau_abs is not None]
     if not any(given):
+        _, _, _, needed = _rule(args.condition)
+        if needed:
+            raise ParameterError(
+                f"condition {args.condition!r} needs --A, --B and --tau-abs")
         return None
     if not all(given):
         raise ParameterError("--A, --B and --tau-abs must be given together")
     return DixitPalParams(args.A, args.B, args.tau_abs)
-
-
-def _run_condition(condition: str, nu: float, p: ClassParams,
-                   extra: Optional[DixitPalParams], form: ConditionForm,
-                   tol: float):
-    if condition == "t":
-        return t_condition(nu, p, form, tol)
-    if condition == "l":
-        return l_condition(nu, p, tol)
-    if condition == "starlike":
-        return starlike_condition(nu, p.alpha, tol)
-    if condition == "convex":
-        return convex_condition(nu, p.alpha, tol)
-    if condition == "jnu":
-        if extra is None:
-            raise ParameterError("condition 'jnu' needs --A, --B and --tau-abs")
-        return jnu_condition(nu, p, extra, tol)
-    if condition == "qnu":
-        return qnu_condition(nu, p, tol)
-    raise ParameterError(f"unknown condition {condition!r}")
 
 
 # ---------------------------------------------------------------- subcommands
@@ -194,8 +179,8 @@ def _cmd_check(args) -> int:
     if args.nu is None:
         raise ParameterError("--nu is required unless --series-file is given")
     form = ConditionForm(args.form)
-    verdict = _run_condition(args.condition, args.nu, p, _dixit_pal(args),
-                             form, tol)
+    extra = _dixit_pal(args)
+    verdict = _evaluate(args.condition, args.nu, p, extra, form, tol)
     print(f"condition : {args.condition} (form {verdict.condition_form.value})")
     print(f"nu        = {_fmt(args.nu)}")
     print(f"lambda    = {_fmt(p.lam)}   alpha = {_fmt(p.alpha)}")
@@ -207,9 +192,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    """Moments once per nu; parameters, rhs and their text once per (lambda,
+    alpha); only lhs and margin are computed and formatted (as `_fmt` does)
+    per row."""
     cfg = _load_config(args.config)
     tol = _resolve(args, cfg, "tol")
-    form = ConditionForm(args.form)
+    form, lhs_of, rhs_of, _ = _rule(args.condition, ConditionForm(args.form))
     extra = _dixit_pal(args)
     nus = _parse_range(args.nu)
     alphas = _parse_range(args.alpha)
@@ -217,22 +205,33 @@ def _cmd_scan(args) -> int:
     if args.condition in ("starlike", "convex") and any(l != 0.0 for l in lams):
         raise ParameterError(
             f"condition {args.condition!r} fixes lambda = 0")
+    alpha_text = [_fmt(alpha) for alpha in alphas]
+    cells = []
+    for lam in lams:
+        lam_text = _fmt(lam)
+        for alpha, a_text in zip(alphas, alpha_text):
+            p = ClassParams(lam, alpha)
+            rhs = rhs_of(p)
+            cells.append((p, rhs, f"{lam_text},{a_text},", f",{_fmt(rhs)},"))
     rows = ["condition,form,nu,lambda,alpha,lhs,rhs,margin,holds"]
     for nu in nus:
-        for lam in lams:
-            for alpha in alphas:
-                p = ClassParams(lam, alpha)
-                v = _run_condition(args.condition, nu, p, extra, form, tol)
-                rows.append(",".join((
-                    args.condition, v.condition_form.value,
-                    _fmt(nu), _fmt(lam), _fmt(alpha),
-                    _fmt(v.lhs), _fmt(v.rhs), _fmt(v.margin),
-                    str(v.holds).lower())))
+        s = moments(_operator_order(nu), tol)
+        head = f"{args.condition},{form.value},{_fmt(nu)},"
+        for p, rhs, point, rhs_text in cells:
+            lhs = lhs_of(s, p, extra)
+            margin = rhs - lhs
+            rows.append(f"{head}{point}{lhs:.17g}{rhs_text}{margin:.17g},"
+                        f"{'true' if margin >= 0.0 else 'false'}")
     payload = "\n".join(rows) + "\n"
     tmp = f"{args.output}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(payload)
-    os.replace(tmp, args.output)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+        os.replace(tmp, args.output)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise ParameterError(f"cannot write {args.output}: {exc}") from exc
     print(f"wrote {len(rows) - 1} rows to {args.output}")
     return EXIT_HOLDS
 
@@ -249,10 +248,10 @@ def _cmd_critical(args) -> int:
     except ValueError as exc:
         raise ParameterError(f"bad bracket {args.bracket!r}: {exc}") from exc
     form = ConditionForm(args.form)
-    nu_star = critical_nu(args.condition, p, _dixit_pal(args), bracket,
+    extra = _dixit_pal(args)
+    nu_star = critical_nu(args.condition, p, extra, bracket,
                           margin_tol, nu_tol, form, tol)
-    verdict = _run_condition(args.condition, nu_star, p, _dixit_pal(args),
-                             form, tol)
+    verdict = _evaluate(args.condition, nu_star, p, extra, form, tol)
     print(f"condition : {args.condition} (form {form.value})")
     print(f"lambda    = {_fmt(p.lam)}   alpha = {_fmt(p.alpha)}")
     print(f"nu*       = {_fmt(nu_star)}")

@@ -123,6 +123,102 @@ def _operator_order(nu) -> KernelOrder:
     return order
 
 
+def _check_params(p) -> ClassParams:
+    if not isinstance(p, ClassParams):
+        raise ParameterError(f"expected ClassParams, got {p!r}")
+    return p
+
+
+# Left-hand sides lhs(s, p, d) over the moments s, the class parameters p and
+# the Dixit-Pal parameters d (None unless the condition needs them), and the
+# right-hand sides rhs(p).  Each expression keeps its documented operation
+# order, so every route through the table rounds identically.
+
+def _t_proof_lhs(s: MomentSet, p: ClassParams, d) -> float:
+    return (p.lam * s.s2 + (1.0 + 2.0 * p.lam - p.lam * p.alpha) * s.s1
+            + (1.0 - p.alpha) * s.s0)
+
+
+def _t_stated_lhs(s: MomentSet, p: ClassParams, d) -> float:
+    return p.lam * s.s2 + (1.0 - p.lam * p.alpha) * s.s1 + (1.0 - p.alpha) * s.s0
+
+
+def _l_lhs(s: MomentSet, p: ClassParams, d) -> float:
+    return (p.lam * s.s3
+            + (5.0 * p.lam + 1.0 - p.lam * p.alpha) * s.s2
+            + (4.0 * p.lam - 2.0 * p.lam * p.alpha - p.alpha + 3.0) * s.s1
+            + (1.0 - p.alpha) * s.s0)
+
+
+def _jnu_lhs(s: MomentSet, p: ClassParams, d: DixitPalParams) -> float:
+    scale = (d.a - d.b) * d.tau_abs
+    return scale * (p.lam * s.s2
+                    + (1.0 + 2.0 * p.lam - p.lam * p.alpha) * s.s1
+                    + (1.0 - p.alpha) * (s.s0 - 1.0))
+
+
+def _qnu_lhs(s: MomentSet, p: ClassParams, d) -> float:
+    return (p.lam * s.s2
+            + (2.0 * p.lam - p.lam * p.alpha + 1.0) * s.s1
+            + (1.0 - p.alpha) * s.s0)
+
+
+def _rhs(p: ClassParams) -> float:
+    return 2.0 * (1.0 - p.alpha)
+
+
+def _jnu_rhs(p: ClassParams) -> float:
+    return 1.0 - p.alpha
+
+
+CONDITION_NAMES = ("t", "l", "starlike", "convex", "jnu", "qnu")
+
+# (condition, form) -> (lhs, rhs, needs DixitPalParams).  Only "t" has a
+# stated form; starlike and convex are the t and l forms at lambda = 0.
+_RULES = {
+    ("t", ConditionForm.PROOF): (_t_proof_lhs, _rhs, False),
+    ("t", ConditionForm.STATED): (_t_stated_lhs, _rhs, False),
+    ("l", ConditionForm.PROOF): (_l_lhs, _rhs, False),
+    ("starlike", ConditionForm.PROOF): (_t_proof_lhs, _rhs, False),
+    ("convex", ConditionForm.PROOF): (_l_lhs, _rhs, False),
+    ("jnu", ConditionForm.PROOF): (_jnu_lhs, _jnu_rhs, True),
+    ("qnu", ConditionForm.PROOF): (_qnu_lhs, _rhs, False),
+}
+
+
+def _rule(condition: str, form: ConditionForm = ConditionForm.PROOF):
+    """(verdict form, lhs, rhs, needs DixitPalParams) of a named condition.
+
+    Conditions without a stated form ignore ``form`` and report PROOF.
+    """
+    if condition not in CONDITION_NAMES:
+        raise ParameterError(
+            f"unknown condition {condition!r}; expected one of {CONDITION_NAMES}"
+        )
+    if condition != "t":
+        form = ConditionForm.PROOF
+    elif not isinstance(form, ConditionForm):
+        raise ParameterError(f"unknown condition form {form!r}")
+    return (form,) + _RULES[condition, form]
+
+
+def _evaluate(condition: str, nu, p: ClassParams, d: Optional[DixitPalParams],
+              form: ConditionForm, tol: float) -> MembershipVerdict:
+    """Verdict of a named condition at one point, from one `moments` call.
+
+    starlike and convex always evaluate at lambda = 0, whatever ``p.lam``.
+    """
+    order = _operator_order(nu)
+    p = _check_params(p)
+    form, lhs, rhs, needs_dp = _rule(condition, form)
+    if needs_dp and not isinstance(d, DixitPalParams):
+        raise ParameterError(f"expected DixitPalParams, got {d!r}")
+    if condition in ("starlike", "convex"):
+        p = ClassParams(0.0, p.alpha)
+    s = moments(order, tol)
+    return _verdict(lhs(s, p, d), rhs(p), form)
+
+
 def t_condition(nu, p: ClassParams, form: ConditionForm = ConditionForm.PROOF,
                 tol: float = 1e-12) -> MembershipVerdict:
     """Starlike-type sufficiency test for z*S_nu.
@@ -133,17 +229,7 @@ def t_condition(nu, p: ClassParams, form: ConditionForm = ConditionForm.PROOF,
     Stated form replaces the s1 coefficient by (1 - lambda*alpha); it is
     weaker-looking (never larger lhs) and is provided only for comparison.
     """
-    order = _operator_order(nu)
-    p = _check_params(p)
-    s = moments(order, tol)
-    if form is ConditionForm.PROOF:
-        s1_coeff = 1.0 + 2.0 * p.lam - p.lam * p.alpha
-    elif form is ConditionForm.STATED:
-        s1_coeff = 1.0 - p.lam * p.alpha
-    else:
-        raise ParameterError(f"unknown condition form {form!r}")
-    lhs = p.lam * s.s2 + s1_coeff * s.s1 + (1.0 - p.alpha) * s.s0
-    return _verdict(lhs, 2.0 * (1.0 - p.alpha), form)
+    return _evaluate("t", nu, p, None, form, tol)
 
 
 def l_condition(nu, p: ClassParams, tol: float = 1e-12) -> MembershipVerdict:
@@ -153,30 +239,19 @@ def l_condition(nu, p: ClassParams, tol: float = 1e-12) -> MembershipVerdict:
         + (4*lambda - 2*lambda*alpha - alpha + 3)*s1 + (1-alpha)*s0
             <= 2*(1-alpha).
     """
-    order = _operator_order(nu)
-    p = _check_params(p)
-    s = moments(order, tol)
-    lhs = (p.lam * s.s3
-           + (5.0 * p.lam + 1.0 - p.lam * p.alpha) * s.s2
-           + (4.0 * p.lam - 2.0 * p.lam * p.alpha - p.alpha + 3.0) * s.s1
-           + (1.0 - p.alpha) * s.s0)
-    return _verdict(lhs, 2.0 * (1.0 - p.alpha), ConditionForm.PROOF)
-
-
-def _check_params(p) -> ClassParams:
-    if not isinstance(p, ClassParams):
-        raise ParameterError(f"expected ClassParams, got {p!r}")
-    return p
+    return _evaluate("l", nu, p, None, ConditionForm.PROOF, tol)
 
 
 def starlike_condition(nu, alpha: float, tol: float = 1e-12) -> MembershipVerdict:
     """Starlikeness of order alpha for z*S_nu: `t_condition` at lambda = 0."""
-    return t_condition(nu, ClassParams(0.0, alpha), ConditionForm.PROOF, tol)
+    return _evaluate("starlike", nu, ClassParams(0.0, alpha),
+                     None, ConditionForm.PROOF, tol)
 
 
 def convex_condition(nu, alpha: float, tol: float = 1e-12) -> MembershipVerdict:
     """Convexity of order alpha for z*S_nu: `l_condition` at lambda = 0."""
-    return l_condition(nu, ClassParams(0.0, alpha), tol)
+    return _evaluate("convex", nu, ClassParams(0.0, alpha),
+                     None, ConditionForm.PROOF, tol)
 
 
 def jnu_condition(nu, p: ClassParams, d: DixitPalParams,
@@ -189,16 +264,7 @@ def jnu_condition(nu, p: ClassParams, d: DixitPalParams,
     A nonnegative margin guarantees membership for *every* function of the
     class, via the sharp coefficient envelope |a_n| <= (A-B)|tau|/n.
     """
-    order = _operator_order(nu)
-    p = _check_params(p)
-    if not isinstance(d, DixitPalParams):
-        raise ParameterError(f"expected DixitPalParams, got {d!r}")
-    s = moments(order, tol)
-    scale = (d.a - d.b) * d.tau_abs
-    lhs = scale * (p.lam * s.s2
-                   + (1.0 + 2.0 * p.lam - p.lam * p.alpha) * s.s1
-                   + (1.0 - p.alpha) * (s.s0 - 1.0))
-    return _verdict(lhs, 1.0 - p.alpha, ConditionForm.PROOF)
+    return _evaluate("jnu", nu, p, d, ConditionForm.PROOF, tol)
 
 
 def qnu_condition(nu, p: ClassParams, tol: float = 1e-12) -> MembershipVerdict:
@@ -211,16 +277,7 @@ def qnu_condition(nu, p: ClassParams, tol: float = 1e-12) -> MembershipVerdict:
     this the same linear form as the proof-form `t_condition`; because Q_nu
     has negative coefficients the condition is necessary as well.
     """
-    order = _operator_order(nu)
-    p = _check_params(p)
-    s = moments(order, tol)
-    lhs = (p.lam * s.s2
-           + (2.0 * p.lam - p.lam * p.alpha + 1.0) * s.s1
-           + (1.0 - p.alpha) * s.s0)
-    return _verdict(lhs, 2.0 * (1.0 - p.alpha), ConditionForm.PROOF)
-
-
-CONDITION_NAMES = ("t", "l", "starlike", "convex", "jnu", "qnu")
+    return _evaluate("qnu", nu, p, None, ConditionForm.PROOF, tol)
 
 
 def margin_function(condition: str, p: ClassParams,
@@ -229,26 +286,14 @@ def margin_function(condition: str, p: ClassParams,
                     tol: float = 1e-12) -> Callable[[float], float]:
     """margin(nu) for a named condition with all other parameters fixed."""
     cond = condition.lower()
-    if cond not in CONDITION_NAMES:
-        raise ParameterError(
-            f"unknown condition {condition!r}; expected one of {CONDITION_NAMES}"
-        )
-    if cond == "jnu":
-        if extra is None:
-            raise ParameterError("jnu condition needs DixitPalParams")
-    elif extra is not None:
+    _, _, _, needs_dp = _rule(cond, form)
+    if needs_dp and extra is None:
+        raise ParameterError(f"{cond} condition needs DixitPalParams")
+    if not needs_dp and extra is not None:
         raise ParameterError(f"condition {cond!r} takes no DixitPalParams")
-    if cond in ("starlike", "convex"):
-        p = ClassParams(0.0, p.alpha)
 
     def margin(nu: float) -> float:
-        if cond in ("t", "starlike"):
-            return t_condition(nu, p, form, tol).margin
-        if cond in ("l", "convex"):
-            return l_condition(nu, p, tol).margin
-        if cond == "jnu":
-            return jnu_condition(nu, p, extra, tol).margin
-        return qnu_condition(nu, p, tol).margin
+        return _evaluate(cond, nu, p, extra, form, tol).margin
 
     return margin
 

@@ -20,8 +20,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import mpmath
-
 from ._backend import kernels
 from .criteria import (ClassParams, ConditionForm, DixitPalParams, jnu_condition,
                        l_condition, qnu_condition, t_condition)
@@ -168,11 +166,15 @@ def ode_residual(nu, z, tol: float = 1e-12) -> float:
 
 _ORACLE_DPS = 50
 
-SELECTORS = ("c", "m0", "m1", "m2", "m3", "s0", "s1", "s2", "s3",
-             "t_proof", "t_stated", "l", "jnu", "qnu", "starlike", "convex")
+_M_SELECTORS = ("m0", "m1", "m2", "m3")
+_S_SELECTORS = ("s0", "s1", "s2", "s3")
+SELECTORS = ("c",) + _M_SELECTORS + _S_SELECTORS + (
+    "t_proof", "t_stated", "l", "jnu", "qnu", "starlike", "convex")
 
 
 def _oracle_coefficient(nu, n):
+    import mpmath
+
     return (mpmath.gamma(nu + 1) * mpmath.gamma(mpmath.mpf(n + 1) / 2)
             / (mpmath.sqrt(mpmath.pi) * mpmath.factorial(n)
                * mpmath.gamma(mpmath.mpf(n) / 2 + nu + 1)))
@@ -184,6 +186,8 @@ def _oracle_sum(termfn, start: int):
     Stops once the term is below 1e-40 and certifies the remainder by the
     geometric bound term*r/(1-r) < 1e-30.
     """
+    import mpmath
+
     total = mpmath.mpf(0)
     prev = None
     n = start
@@ -210,7 +214,11 @@ def highprec_sum_oracle(selector: str, nu, n: Optional[int] = None,
     Every criterion lhs is summed termwise through the coefficient-inequality
     weights (not through the derivative closed forms the fast path uses), so
     agreement is a genuine two-route check.  Returns an mpmath float.
+    mpmath is imported here, on first use, so that importing the package
+    does not pay for it.
     """
+    import mpmath
+
     if selector not in SELECTORS:
         raise ParameterError(f"unknown selector {selector!r}; one of {SELECTORS}")
     nu_val = nu.nu if hasattr(nu, "nu") else float(nu)
@@ -223,10 +231,10 @@ def highprec_sum_oracle(selector: str, nu, n: Optional[int] = None,
             if n is None:
                 raise ParameterError("selector 'c' needs the index n")
             return c(n)
-        if selector.startswith("m"):
+        if selector in _M_SELECTORS:
             k = int(selector[1])
             return _oracle_sum(lambda i: mpmath.mpf(i) ** k * c(i - 1), 2)
-        if selector.startswith("s"):
+        if selector in _S_SELECTORS:
             k = int(selector[1])
             return _oracle_sum(lambda i: mpmath.ff(i, k) * c(i), k)
         if selector in ("t_proof", "starlike"):

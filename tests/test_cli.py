@@ -155,6 +155,16 @@ class TestScan:
                            "--output", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
+        # a missing parent directory, and a directory in the file's place
+        (tmp_path / "taken").mkdir()
+        for target in (tmp_path / "missing" / "x.csv", tmp_path / "taken"):
+            code, out, err = run(capsys, "scan", "t", "--nu", "1:2:2",
+                                 "--output", str(target))
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
     def test_no_partial_file_on_error(self, tmp_path, capsys):
         out_path = tmp_path / "partial.csv"
         code, _, _ = run(capsys, "scan", "t", "--nu", "bad-range",

@@ -1,10 +1,14 @@
 """Oracle tests: disk sampling, differential residual, 50-digit summation."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
 
+import besselstruve
 from besselstruve import (ClassParams, DenominatorDegeneracyError, DiskSampling,
                           DomainError, NormalizedSeries, ParameterError,
                           SignConvention, highprec_sum_oracle, kernel_series,
@@ -153,6 +157,33 @@ class TestHighPrecOracle:
     def test_unknown_selector(self):
         with pytest.raises(ParameterError):
             highprec_sum_oracle("bogus", 1.0)
+
+    def test_starlike_and_convex_selectors(self):
+        # named like the moment selectors (s_k, c) but are criterion lhs
+        from besselstruve import convex_condition, starlike_condition
+        for nu in (0.5, 3.0):
+            for alpha in (0.0, 0.4):
+                star = highprec_sum_oracle("starlike", nu, lam=0.7, alpha=alpha)
+                assert star == highprec_sum_oracle("t_proof", nu, lam=0.0,
+                                                   alpha=alpha)
+                assert float(star) == pytest.approx(
+                    starlike_condition(nu, alpha).lhs, abs=1e-10)
+                conv = highprec_sum_oracle("convex", nu, lam=0.7, alpha=alpha)
+                assert conv == highprec_sum_oracle("l", nu, lam=0.0, alpha=alpha)
+                assert float(conv) == pytest.approx(
+                    convex_condition(nu, alpha).lhs, abs=1e-10)
+
+    def test_mpmath_loaded_on_first_oracle_use_only(self):
+        code = ("import sys, besselstruve as bs; "
+                "assert 'mpmath' not in sys.modules; "
+                "bs.highprec_sum_oracle('c', 1.0, n=2); "
+                "assert 'mpmath' in sys.modules")
+        src = os.path.dirname(os.path.dirname(besselstruve.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSamplers:
