@@ -2,9 +2,9 @@
 
 The package evaluates the kernel S_nu and its normalized unit-disk variants,
 decides the starlike-type / convex-type membership criteria as closed forms
-of the kernel derivative values at 1, locates critical orders by bisection,
-and cross-checks everything through independent oracles (disk sampling,
-differential-equation residual, 50-digit summation).
+of the kernel derivative values at 1, locates critical orders by guarded
+false position, and cross-checks everything through independent oracles
+(disk sampling, differential-equation residual, 50-digit summation).
 
 Numeric inner loops run on a compiled extension when available and on a
 pure-Python twin otherwise; see ``besselstruve.backend_name``.

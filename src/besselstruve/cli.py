@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -121,6 +122,13 @@ def _dixit_pal(args) -> Optional[DixitPalParams]:
     return DixitPalParams(args.A, args.B, args.tau_abs)
 
 
+def _check_lambda(condition: str, lams) -> None:
+    """starlike and convex are the lambda = 0 cases: refuse any other lambda
+    instead of evaluating at 0 under the given value."""
+    if condition in ("starlike", "convex") and any(l != 0.0 for l in lams):
+        raise ParameterError(f"condition {condition!r} fixes lambda = 0")
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -148,7 +156,11 @@ def _series_check(args, p: ClassParams, tol: float) -> int:
         raise ParameterError(
             f"--series-file applies the coefficient test; condition "
             f"{args.condition!r} is about a fixed operator, not a user series")
-    f = read_series(args.series_file)
+    try:
+        f = read_series(args.series_file)
+    except OSError as exc:
+        raise ParameterError(
+            f"cannot read series file {args.series_file}: {exc}") from exc
     if args.condition in ("t", "starlike"):
         ws = coefficient_sum_T(f, p)
         label = "starlike-type"
@@ -173,6 +185,7 @@ def _series_check(args, p: ClassParams, tol: float) -> int:
 def _cmd_check(args) -> int:
     cfg = _load_config(args.config)
     tol = _resolve(args, cfg, "tol")
+    _check_lambda(args.condition, (args.lam,))
     p = ClassParams(args.lam, args.alpha)
     if args.series_file is not None:
         return _series_check(args, p, tol)
@@ -202,9 +215,7 @@ def _cmd_scan(args) -> int:
     nus = _parse_range(args.nu)
     alphas = _parse_range(args.alpha)
     lams = _parse_range(args.lam)
-    if args.condition in ("starlike", "convex") and any(l != 0.0 for l in lams):
-        raise ParameterError(
-            f"condition {args.condition!r} fixes lambda = 0")
+    _check_lambda(args.condition, lams)
     alpha_text = [_fmt(alpha) for alpha in alphas]
     cells = []
     for lam in lams:
@@ -241,6 +252,7 @@ def _cmd_critical(args) -> int:
     tol = _resolve(args, cfg, "tol")
     margin_tol = _resolve(args, cfg, "margin_tol")
     nu_tol = _resolve(args, cfg, "nu_tol")
+    _check_lambda(args.condition, (args.lam,))
     p = ClassParams(args.lam, args.alpha)
     lo, _, hi = args.bracket.partition(":")
     try:
@@ -342,8 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_scan)
     p_scan.set_defaults(func=_cmd_scan)
 
-    p_crit = subs.add_parser("critical",
-                             help="bisect the critical order of a condition")
+    p_crit = subs.add_parser(
+        "critical",
+        help="locate the critical order of a condition (guarded false "
+             "position; the condition holds at the printed nu*)")
     p_crit.add_argument("condition", choices=CONDITION_NAMES)
     p_crit.add_argument("--bracket", default="0.6:30", metavar="LO:HI")
     p_crit.add_argument("--margin-tol", dest="margin_tol", type=float,
@@ -362,9 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InconclusiveError as exc:

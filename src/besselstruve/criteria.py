@@ -1,4 +1,4 @@
-"""Closed-form membership criteria and parameter-boundary bisection.
+"""Closed-form membership criteria and the critical-order solver.
 
 Each criterion is a linear inequality in the kernel derivative values at
 z = 1 (see `series.moments`).  All of them take the form lhs <= rhs with
@@ -306,13 +306,32 @@ def critical_nu(condition: str, p: ClassParams,
                 tol: float = 1e-12) -> float:
     """Boundary order nu* where the condition's margin crosses zero.
 
-    Bisection on the (empirically increasing) margin; stops once
-    |margin(nu*)| <= margin_tol, which takes about
-    log2((hi-lo)/nu_tol) iterations.  Raises `BracketError` when the
-    endpoint margins do not straddle zero and `MonotonicityError` when a
-    midpoint margin escapes the [margin(lo), margin(hi)] envelope by more
-    than rounding slack.
+    Guarded false position (Illinois) on the (empirically increasing)
+    margin: the first step is the midpoint, and any later pair of steps
+    that fails to halve the bracket is followed by a midpoint, so the
+    solver never needs more than about twice bisection's
+    log2((hi-lo)/ulp) evaluations and usually needs far fewer.  The
+    result is always on the side where the condition holds:
+    0 <= margin(nu*) <= margin_tol, so the condition holds at nu* and,
+    the margin being increasing, for every larger order in the bracket.
+
+    ``margin_tol`` alone decides when to stop.  A bracket narrower than
+    ``nu_tol`` whose ends miss it is narrowed further, down to a few ulp,
+    because its upper end can still miss ``margin_tol`` (where the margin
+    rises 1.4 per unit order, a bracket 1e-10 wide can end at a margin of
+    1.4e-10); ``nu_tol`` is only checked to be a valid tolerance.
+
+    Raises `ParameterError` for a negative or non-finite ``margin_tol`` or
+    ``nu_tol``, and when the bracket has shrunk to a few ulp without
+    reaching ``margin_tol``; `BracketError` when the endpoint margins do not
+    straddle zero; and `MonotonicityError` when a margin escapes the
+    [margin(lo), margin(hi)] envelope of the current bracket by more than
+    rounding slack.
     """
+    for name, value in (("margin_tol", margin_tol), ("nu_tol", nu_tol)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ParameterError(
+                f"{name} must be finite and >= 0, got {value!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi):
         raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
@@ -322,6 +341,13 @@ def critical_nu(condition: str, p: ClassParams,
 
 def _bisect_margin(margin: Callable[[float], float], lo: float, hi: float,
                    margin_tol: float, nu_tol: float) -> float:
+    """First evaluated nu with 0 <= margin(nu) <= margin_tol (see critical_nu).
+
+    w_lo and w_hi are the false-position weights of the two ends: the
+    true end margins, except that Illinois halves the weight of an end
+    kept twice in a row.  The monotonicity envelope always uses the true
+    margins m_lo and m_hi; a scaled weight would flag smooth margins.
+    """
     m_lo = margin(lo)
     m_hi = margin(hi)
     if not (m_lo < 0.0 < m_hi):
@@ -330,24 +356,41 @@ def _bisect_margin(margin: Callable[[float], float], lo: float, hi: float,
             f"margin({hi}) = {m_hi:.6e}"
         )
     slack = 1e-12 * (1.0 + abs(m_lo) + abs(m_hi))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m_mid = margin(mid)
-        if m_mid < m_lo - slack or m_mid > m_hi + slack:
+    w_lo, w_hi = m_lo, m_hi
+    last = 0  # -1 when the last step moved lo, +1 when it moved hi
+    width = hi - lo  # bracket width two steps ago
+    for step in range(200):
+        x = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+        if step % 2 == 0:
+            if step == 0 or hi - lo > 0.5 * width:
+                x = 0.5 * (lo + hi)
+            width = hi - lo
+        if not (lo < x < hi):
+            x = 0.5 * (lo + hi)
+        m_x = margin(x)
+        if m_x < m_lo - slack or m_x > m_hi + slack:
             raise MonotonicityError(
                 f"margin not monotone on [{lo}, {hi}]: "
-                f"margin({mid}) = {m_mid:.6e} outside "
+                f"margin({x}) = {m_x:.6e} outside "
                 f"[{m_lo:.6e}, {m_hi:.6e}]"
             )
-        if abs(m_mid) <= margin_tol:
-            return mid
-        if m_mid < 0.0:
-            lo, m_lo = mid, m_mid
+        if 0.0 <= m_x <= margin_tol:
+            return x
+        if m_x < 0.0:
+            lo, m_lo, w_lo = x, m_x, m_x
+            if last < 0:
+                w_hi *= 0.5
+            last = -1
         else:
-            hi, m_hi = mid, m_mid
-        if hi - lo <= max(nu_tol, 4.0 * math.ulp(hi)) and min(-m_lo, m_hi) <= margin_tol:
-            return lo if -m_lo <= m_hi else hi
-    raise RuntimeError(
-        f"bisection failed to reach margin tolerance {margin_tol} "
-        f"(final bracket [{lo}, {hi}], margins [{m_lo:.3e}, {m_hi:.3e}])"
+            hi, m_hi, w_hi = x, m_x, m_x
+            if last > 0:
+                w_lo *= 0.5
+            last = 1
+        if hi - lo <= 4.0 * math.ulp(hi):
+            if m_hi <= margin_tol:
+                return hi
+            break
+    raise ParameterError(
+        f"margin tolerance {margin_tol} not reached: final bracket "
+        f"[{lo!r}, {hi!r}], margins [{m_lo:.6e}, {m_hi:.6e}]"
     )

@@ -212,13 +212,16 @@ def _truncated_table(nu: float, tol: float, power: int):
     """Smallest table with the power-weighted tail below tol.
 
     Returns (values c_0..c_N as a list, tail bound, envelope ratio q).
+    An index whose first tail term, multiplied as `_weighted_tail` multiplies
+    it, already exceeds tol is skipped without summing the tail: the sum
+    can only be larger, so the accepted index and bound are unchanged.
     """
     size = 64
     while size <= 4 * _MAX_TERMS:
         vals = kernels.coefficient_table(nu, min(size, _MAX_TERMS + 2))
         for n in range(2, len(vals) - 2):
             q, ok = _tail_envelope(vals, n)
-            if not ok:
+            if not ok or vals[n] * q * float(n + 2) ** power > tol:
                 continue
             tail = _weighted_tail(vals[n], n, q, power)
             if tail <= tol:

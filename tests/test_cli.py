@@ -256,3 +256,46 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_parser_built_once_on_first_call(self, capsys):
+        from besselstruve import cli
+        cli._parser.cache_clear()
+        assert cli._parser.cache_info().currsize == 0
+        for _ in range(3):
+            assert main(["check", "t", "--nu", "3"]) == 0
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        capsys.readouterr()
+
+
+class TestErrorPaths:
+    """One row per error path: exit code 2, nothing on stdout and exactly one
+    stderr line with the given start."""
+
+    @pytest.mark.parametrize("argv, first_words", [
+        (("check", "starlike", "--nu", "3", "--lambda", "0.5", "--alpha", "0.2"),
+         "error: condition 'starlike' fixes lambda = 0"),
+        (("check", "convex", "--nu", "3", "--lambda", "0.5"),
+         "error: condition 'convex' fixes lambda = 0"),
+        (("critical", "starlike", "--lambda", "0.5"),
+         "error: condition 'starlike' fixes lambda = 0"),
+        (("critical", "convex", "--lambda", "0.3"),
+         "error: condition 'convex' fixes lambda = 0"),
+        (("check", "t", "--series-file", "{missing}"),
+         "error: cannot read series file {missing}: "),
+        (("critical", "starlike", "--margin-tol", "-1"),
+         "error: margin_tol must be finite and >= 0, got -1.0"),
+        (("critical", "starlike", "--margin-tol", "inf"),
+         "error: margin_tol must be finite and >= 0, got inf"),
+        (("critical", "starlike", "--nu-tol", "nan"),
+         "error: nu_tol must be finite and >= 0, got nan"),
+        (("critical", "starlike", "--alpha", "0.1", "--margin-tol", "0"),
+         "error: margin tolerance 0.0 not reached: final bracket [2.30230987"),
+    ])
+    def test_exit_code_and_one_line(self, tmp_path, capsys, argv, first_words):
+        missing = str(tmp_path / "missing.txt")
+        argv = [a.format(missing=missing) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(first_words.format(missing=missing))
+        assert err.count("\n") == 1 and err.endswith("\n")

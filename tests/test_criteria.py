@@ -9,6 +9,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from besselstruve import (BracketError, ClassParams, ConditionForm,
                           DixitPalParams, DomainError, MonotonicityError,
@@ -256,3 +258,47 @@ class TestCriticalNu:
     def test_unknown_condition(self):
         with pytest.raises(ParameterError):
             critical_nu("nope", ClassParams(0.0, 0.0), bracket=(0.6, 20.0))
+
+    def test_golden_solve_evaluation_count(self):
+        from besselstruve.criteria import margin_function
+        margin = margin_function("starlike", ClassParams(0.0, 0.0))
+        points = []
+
+        def counted(nu):
+            points.append(nu)
+            return margin(nu)
+
+        nu_star = _bisect_margin(counted, 0.6, 20.0, 1e-10, 1e-10)
+        assert len(points) <= 16  # bisection made 37
+        assert nu_star == critical_nu("starlike", ClassParams(0.0, 0.0),
+                                      bracket=(0.6, 20.0))
+        assert 0.0 <= margin(nu_star) <= 1e-10
+
+    @pytest.mark.parametrize("margin_tol, nu_tol", [
+        (-1.0, 1e-10), (math.inf, 1e-10), (math.nan, 1e-10),
+        (1e-10, -1e-12), (1e-10, math.inf), (1e-10, math.nan)])
+    def test_bad_tolerances_rejected(self, margin_tol, nu_tol):
+        with pytest.raises(ParameterError, match="_tol must be finite"):
+            critical_nu("starlike", ClassParams(0.0, 0.0), bracket=(0.6, 20.0),
+                        margin_tol=margin_tol, nu_tol=nu_tol)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(condition=st.sampled_from(("t", "l", "starlike", "convex", "jnu",
+                                      "qnu")),
+           lam=st.floats(0.0, 0.9), alpha=st.floats(0.0, 0.9),
+           b=st.floats(-1.0, 0.9), a_gap=st.floats(0.01, 1.0),
+           tau_abs=st.floats(0.05, 2.0),
+           lo=st.floats(-0.45, 0.0), hi=st.floats(20.0, 40.0))
+    def test_result_is_on_the_holding_side(self, condition, lam, alpha, b,
+                                           a_gap, tau_abs, lo, hi):
+        from besselstruve.criteria import margin_function
+        if condition in ("starlike", "convex"):
+            lam = 0.0
+        p = ClassParams(lam, alpha)
+        extra = (DixitPalParams(min(b + a_gap, 1.0), b, tau_abs)
+                 if condition == "jnu" else None)
+        margin = margin_function(condition, p, extra)
+        assume(margin(lo) < 0.0 < margin(hi))
+        nu_star = critical_nu(condition, p, extra, bracket=(lo, hi))
+        assert lo < nu_star < hi
+        assert 0.0 <= margin(nu_star) <= 1e-10

@@ -158,6 +158,30 @@ class TestCoefficientSequence:
                 b = complex(*kernels.horner(table, z.real, z.imag))
                 assert abs(a - b) < seq.tail_bound
 
+    def test_pruned_search_matches_full_search(self):
+        # the truncation search skips indices whose first tail term already
+        # exceeds tol; the unpruned loop below is the reference it must equal
+        from besselstruve import series
+
+        def full_search(nu, tol, power):
+            for size in (64 << k for k in range(9)):
+                vals = kernels.coefficient_table(
+                    nu, min(size, series._MAX_TERMS + 2))
+                for n in range(2, len(vals) - 2):
+                    q, ok = series._tail_envelope(vals, n)
+                    if not ok:
+                        continue
+                    tail = series._weighted_tail(vals[n], n, q, power)
+                    if tail <= tol:
+                        return vals[: n + 1], tail, q
+            raise AssertionError(f"no truncation for nu={nu}")
+
+        for nu in (-0.999, -0.9, -0.49, 0.0, 0.37, 2.0, 11.5, 1e3, 1e5):
+            for tol in (0.5, 1e-6, 1e-12, 1e-15):
+                for power in (0, 1, 2, 3):
+                    assert series._truncated_table(nu, tol, power) == \
+                        full_search(nu, tol, power)
+
 
 class TestEvalKernel:
     def test_exponential_closed_form(self, unit_disk_points):
