@@ -6,8 +6,8 @@ of the kernel derivative values at 1, locates critical orders by guarded
 false position, and cross-checks everything through independent oracles
 (disk sampling, differential-equation residual, 50-digit summation).
 
-Numeric inner loops run on a compiled extension when available and on a
-pure-Python twin otherwise; see ``besselstruve.backend_name``.
+Numeric inner loops live in one pure-Python kernel module; see
+``besselstruve.backend_name``.
 """
 
 from ._backend import backend_name

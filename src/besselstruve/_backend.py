@@ -1,23 +1,12 @@
-"""Selects the numeric backend at import time.
+"""Binds the package's one kernel module as ``kernels``.
 
-The compiled extension is preferred when it imported cleanly; otherwise the
-pure-Python twin takes over.  BESSELSTRUVE_PURE=1 forces the fallback (useful
-for benchmarking and for debugging suspected extension issues); both backends
-produce the same results up to a few ulp, so the choice never changes any
-documented tolerance.
+Every numeric consumer calls the kernels through this binding, so the
+inner loops live in a single place (``_pykernels``).
 """
 
-import os
-
-if os.environ.get("BESSELSTRUVE_PURE") == "1":
-    from . import _pykernels as kernels
-else:
-    try:
-        from . import _fastkernels as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pykernels as kernels
+from . import _pykernels as kernels
 
 
 def backend_name() -> str:
-    """Name of the active backend: "cython" or "python"."""
+    """Name of the kernel implementation: "python"."""
     return kernels.NAME

@@ -1,11 +1,12 @@
-"""Pure-Python numeric inner loops.
+"""Numeric inner loops: the package's one kernel module, in pure Python.
 
-Twin of ``_fastkernels`` (the optional compiled extension): both modules
-expose the same three primitives with the same operation order, so results
-agree to a few ulp and callers never need to know which one is active.
+Three primitives carry every double-precision hot path: the coefficient
+table, Horner evaluation at one point and the minimum of a ratio's real
+part on a circle.  Callers reach them through ``_backend.kernels``.
 """
 
 import math
+from functools import lru_cache
 
 NAME = "python"
 
@@ -50,29 +51,53 @@ def horner(coeffs, zr, zi):
     return acc_r, acc_i
 
 
+@lru_cache(maxsize=16)
+def _half_circle(radius, n_points):
+    """z_j = radius*exp(2*pi*i*j/n_points) for j = 0..n_points//2."""
+    pts = []
+    for j in range(n_points // 2 + 1):
+        theta = _TWO_PI * j / n_points
+        pts.append(complex(radius * math.cos(theta), radius * math.sin(theta)))
+    return tuple(pts)
+
+
 def min_real_ratio_on_circle(num, den, radius, n_points, floor):
     """Minimum of Re(num(z)/den(z)) over z_j = radius*exp(2*pi*i*j/n_points).
 
-    Returns (min_re, argmin_index, violation_index, min_abs_den).  The scan
-    stops at the first point with |den(z_j)| < floor; violation_index is that
-    j (or -1), and min_re then covers only the scanned prefix.
+    The coefficients must be real: then num and den take conjugate values at
+    z_j and z_{n_points-j}, so the real part of the ratio and |den| repeat
+    there and only j = 0..n_points//2 is evaluated.  Each point runs one
+    complex Horner loop over both polynomials, which forms the same products
+    in the same order as `horner`.
+
+    Returns (min_re, argmin_index, violation_index, min_abs_den); each index
+    is -1 or lies in [0, n_points//2].  The scan stops at the first point
+    with |den(z_j)| < floor; violation_index is that j (or -1), and min_re
+    then covers only the scanned prefix.
     """
+    pad = len(den) - len(num)
+    if pad > 0:
+        num = list(num) + [0.0] * pad
+    elif pad < 0:
+        den = list(den) + [0.0] * -pad
+    pairs = tuple(zip(reversed(num), reversed(den)))
     min_re = math.inf
     argmin = -1
     min_abs = math.inf
-    for j in range(n_points):
-        theta = _TWO_PI * j / n_points
-        zr = radius * math.cos(theta)
-        zi = radius * math.sin(theta)
-        nr, ni = horner(num, zr, zi)
-        dr, di = horner(den, zr, zi)
+    for j, z in enumerate(_half_circle(radius, n_points)):
+        n = d = 0j
+        for a, b in pairs:
+            n = n * z + a
+            d = d * z + b
+        dr = d.real
+        di = d.imag
         d2 = dr * dr + di * di
         ad = math.sqrt(d2)
         if ad < min_abs:
             min_abs = ad
         if ad < floor:
             return min_re, argmin, j, min_abs
-        re = (nr * dr + ni * di) / d2
+        re = (n.real * dr + n.imag * di) / d2
         if re < min_re:
             min_re = re
             argmin = j

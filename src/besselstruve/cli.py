@@ -136,13 +136,16 @@ def _cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     tol = _resolve(args, cfg, "tol")
     z = complex(args.z)
+    # every value first, so an error leaves stdout empty
     seq = coefficient_sequence(args.nu, tol)
     s = eval_kernel(args.nu, z, tol)
+    normalized = eval_normalized(args.nu, z, tol)
+    phi = eval_phi(args.nu, z, tol)
+    m = moments(args.nu, tol)
     print(f"nu = {_fmt(args.nu)}   z = {z}   tol = {_fmt(tol)}")
     print(f"S(z)        = {s}")
-    print(f"z*S(z)      = {eval_normalized(args.nu, z, tol)}")
-    print(f"z*(2-S(z))  = {eval_phi(args.nu, z, tol)}")
-    m = moments(args.nu, tol)
+    print(f"z*S(z)      = {normalized}")
+    print(f"z*(2-S(z))  = {phi}")
     for k, val in enumerate((m.s0, m.s1, m.s2, m.s3)):
         label = "S" + "'" * k + "(1)"
         print(f"{label.ljust(12)}= {_fmt(val)}")

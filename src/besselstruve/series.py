@@ -259,10 +259,13 @@ def eval_kernel(nu, z, tol: float = 1e-12) -> complex:
     S_nu(0) = 1 exactly.  Points outside the closed unit disk are evaluated
     with the truncation extended until the |z|-rescaled tail majorant meets
     the same tolerance (possible for any z since the series is entire).
+    A non-finite z raises ParameterError.
     """
     order = _as_order(nu)
     tol = _check_tol(tol)
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParameterError(f"z must be finite, got {z!r}")
     az = abs(z)
     if az <= 1.0:
         vals, _, _ = _cached_table(order.nu, tol, 0)
@@ -310,7 +313,9 @@ def moments(nu, tol: float = 1e-12) -> MomentSet:
     """Termwise m_k and s_k values at z = 1, each accurate to tol.
 
     The truncation is chosen so even the n^3-weighted tail is below tol.
-    The four m/s linking identities are verified to 10*tol before returning.
+    The four m/s linking identities are verified to 10*tol before returning;
+    a tol below the accuracy that double rounding reaches at this nu (the
+    identity residual) raises ParameterError.
     """
     order = _as_order(nu)
     tol = _check_tol(tol)
@@ -327,7 +332,8 @@ def moments(nu, tol: float = 1e-12) -> MomentSet:
     out = MomentSet(m0, m1, m2, m3, s0, s1, s2, s3, tol)
     worst = max(abs(r) for r in out.identity_residuals())
     if worst > 10.0 * tol:
-        raise RuntimeError(
-            f"moment identity residual {worst:.3e} exceeds 10*tol at nu={order.nu}"
+        raise ParameterError(
+            f"moments at nu={order.nu!r} cannot reach tol={tol!r}: the reachable "
+            f"accuracy is the identity residual {worst:.3e} (> 10*tol)"
         )
     return out

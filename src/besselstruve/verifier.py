@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from ._backend import kernels
@@ -172,12 +173,64 @@ SELECTORS = ("c",) + _M_SELECTORS + _S_SELECTORS + (
     "t_proof", "t_stated", "l", "jnu", "qnu", "starlike", "convex")
 
 
-def _oracle_coefficient(nu, n):
+# The oracle's factors and quotients, cached per (argument, mpmath precision):
+# `prec` is passed only to key the caches.  One `_suite_highprec` call forms
+# up to about 300 distinct quotients from 8 orders nu and fewer than 64
+# indices n, so these sizes hold a whole call.
+_ORACLE_CACHE = 512
+
+
+@lru_cache(maxsize=16)
+def _gamma_nu1(nu, prec):
+    """Gamma(nu+1) at the current precision ``prec``."""
     import mpmath
 
-    return (mpmath.gamma(nu + 1) * mpmath.gamma(mpmath.mpf(n + 1) / 2)
-            / (mpmath.sqrt(mpmath.pi) * mpmath.factorial(n)
+    return mpmath.gamma(nu + 1)
+
+
+@lru_cache(maxsize=_ORACLE_CACHE)
+def _gamma_half(n, prec):
+    """Gamma((n+1)/2) at the current precision ``prec``."""
+    import mpmath
+
+    return mpmath.gamma(mpmath.mpf(n + 1) / 2)
+
+
+@lru_cache(maxsize=_ORACLE_CACHE)
+def _sqrt_pi_factorial(n, prec):
+    """sqrt(pi) * n! at the current precision ``prec``."""
+    import mpmath
+
+    return mpmath.sqrt(mpmath.pi) * mpmath.factorial(n)
+
+
+@lru_cache(maxsize=_ORACLE_CACHE)
+def _oracle_quotient(nu, n, prec):
+    import mpmath
+
+    return (_gamma_nu1(nu, prec) * _gamma_half(n, prec)
+            / (_sqrt_pi_factorial(n, prec)
                * mpmath.gamma(mpmath.mpf(n) / 2 + nu + 1)))
+
+
+def _oracle_coefficient(nu, n):
+    """Gamma(nu+1) Gamma((n+1)/2) / (sqrt(pi) n! Gamma(n/2+nu+1)).
+
+    The literal quotient, formed in this operation order at the current
+    mpmath precision.  Its factors and the quotient are cached per precision,
+    so a value is never read back at a precision it was not computed at.
+    """
+    import mpmath
+
+    return _oracle_quotient(nu, n, mpmath.mp.prec)
+
+
+@lru_cache(maxsize=8)
+def _oracle_stops(prec):
+    """The (term, remainder) thresholds 1e-40 and 1e-30 at precision prec."""
+    import mpmath
+
+    return mpmath.mpf("1e-40"), mpmath.mpf("1e-30")
 
 
 def _oracle_sum(termfn, start: int):
@@ -188,17 +241,18 @@ def _oracle_sum(termfn, start: int):
     """
     import mpmath
 
+    small_term, small_rem = _oracle_stops(mpmath.mp.prec)
     total = mpmath.mpf(0)
     prev = None
     n = start
     while True:
         term = termfn(n)
         total += term
-        if prev is not None and n - start > 8 and term < mpmath.mpf("1e-40"):
+        if prev is not None and n - start > 8 and term < small_term:
             r = term / prev
             if r < 1:
                 rem = term * r / (1 - r)
-                if rem < mpmath.mpf("1e-30"):
+                if rem < small_rem:
                     return total
         if n - start > 100_000:
             raise RuntimeError("oracle summation failed to converge")

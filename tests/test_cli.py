@@ -291,6 +291,16 @@ class TestErrorPaths:
          "error: nu_tol must be finite and >= 0, got nan"),
         (("critical", "starlike", "--alpha", "0.1", "--margin-tol", "0"),
          "error: margin tolerance 0.0 not reached: final bracket [2.30230987"),
+        (("eval", "--nu", "1", "--z", "nan"),
+         "error: z must be finite, got (nan+0j)"),
+        (("eval", "--nu", "1", "--z", "inf"),
+         "error: z must be finite, got (inf+0j)"),
+        (("eval", "--nu", "1", "--z", "0.5", "--tol", "1e-17"),
+         "error: moments at nu=1.0 cannot reach tol=1e-17: the reachable "
+         "accuracy is the identity residual "),
+        (("eval", "--nu=-0.999999", "--z", "0.5"),
+         "error: moments at nu=-0.999999 cannot reach tol=1e-12: the "
+         "reachable accuracy is the identity residual "),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, argv, first_words):
         missing = str(tmp_path / "missing.txt")

@@ -215,6 +215,13 @@ class TestEvalKernel:
         with pytest.raises(DomainError):
             eval_kernel(-1.2, 0.5)
 
+    @pytest.mark.parametrize("z", (math.nan, math.inf, -math.inf,
+                                   complex(0.3, math.nan), complex(math.inf, 1.0)))
+    def test_non_finite_z_rejected(self, z):
+        for fn in (eval_kernel, eval_normalized, eval_phi):
+            with pytest.raises(ParameterError, match="z must be finite"):
+                fn(1.0, z)
+
 
 class TestNormalizedVariants:
     def test_normalized_at_one(self):
@@ -279,3 +286,12 @@ class TestMoments:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             moments(-1.0)
+
+    @pytest.mark.parametrize("nu, tol", ((-0.9908168868332572, 1e-14),
+                                         (1.0, 1e-17), (-0.999999, 1e-12)))
+    def test_unreachable_tol_is_a_parameter_error(self, nu, tol):
+        with pytest.raises(ParameterError) as info:
+            moments(nu, tol)
+        msg = str(info.value)
+        assert f"nu={nu!r}" in msg and f"tol={tol!r}" in msg
+        assert "identity residual" in msg

@@ -7,6 +7,8 @@ import sys
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import besselstruve
 from besselstruve import (ClassParams, DenominatorDegeneracyError, DiskSampling,
@@ -15,7 +17,9 @@ from besselstruve import (ClassParams, DenominatorDegeneracyError, DiskSampling,
                           l_condition, min_real_part_L, min_real_part_T,
                           ode_residual, phi_series, ratio_real_part,
                           t_condition)
-from besselstruve.verifier import (run_suites, sample_necessity_tuples,
+from besselstruve._pykernels import horner, min_real_ratio_on_circle
+from besselstruve.verifier import (_oracle_coefficient, _ratio_arrays,
+                                   run_suites, sample_necessity_tuples,
                                    sample_sufficiency_tuples)
 
 from conftest import NU_GRID
@@ -216,3 +220,125 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ParameterError):
             run_suites(("nope",))
+
+
+# ---------------------------------------------------------------------------
+# The half-circle scan against a plain full-circle scan, and the cached
+# oracle against its literal formula.
+
+def _circle_points(radius, n_points):
+    """z_j = radius*exp(2*pi*i*j/n_points), j = 0..n_points-1."""
+    return [complex(radius * math.cos(2.0 * math.pi * j / n_points),
+                    radius * math.sin(2.0 * math.pi * j / n_points))
+            for j in range(n_points)]
+
+
+def _symmetric_points(radius, n_points):
+    """The same circle with z_{n-j} replaced by the conjugate of z_j."""
+    half = _circle_points(radius, n_points)[: n_points // 2 + 1]
+    rest = [z.conjugate() for z in reversed(half[1:(n_points + 1) // 2])]
+    return half + rest
+
+
+def _plain_scan(num, den, points, floor):
+    """Reference: Re(num/den) at every point in order, real Horner each."""
+    min_re, argmin, min_abs = math.inf, -1, math.inf
+    for j, z in enumerate(points):
+        nr, ni = horner(num, z.real, z.imag)
+        dr, di = horner(den, z.real, z.imag)
+        d2 = dr * dr + di * di
+        ad = math.sqrt(d2)
+        min_abs = min(min_abs, ad)
+        if ad < floor:
+            return min_re, argmin, j, min_abs
+        re = (nr * dr + ni * di) / d2
+        if re < min_re:
+            min_re, argmin = re, j
+    return min_re, argmin, -1, min_abs
+
+
+class TestCircleScan:
+    @pytest.mark.parametrize("kind", ("T", "L"))
+    @pytest.mark.parametrize("lam", (0.0, 0.5))
+    def test_equals_full_scan_of_conjugate_symmetric_points(self, kind, lam):
+        for nu in NU_GRID:
+            num, den = _ratio_arrays(kernel_series(nu), lam, kind)
+            for radius, n_points in ((0.99, 512), (0.5, 257)):
+                got = min_real_ratio_on_circle(num, den, radius, n_points, 1e-12)
+                ref = _plain_scan(num, den, _symmetric_points(radius, n_points),
+                                  1e-12)
+                assert got == ref
+                assert 0 <= got[1] <= n_points // 2
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(num=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=30),
+           den=st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=30),
+           radius=st.floats(0.05, 0.99),
+           n_points=st.integers(64, 300),
+           floor=st.sampled_from((1e-12, 0.05, 0.3)))
+    def test_agrees_with_full_scan_on_random_polynomials(
+            self, num, den, radius, n_points, floor):
+        # den(z) = z * (1 + sum b_k z^k) with sum |b_k| r^k < 0.9 keeps the
+        # ratio well conditioned; larger floors exercise the early stop
+        scale = sum(abs(b) * radius ** k for k, b in enumerate(den, start=1))
+        den = [0.0, 1.0] + [b * 0.9 / max(scale, 0.9) for b in den]
+        got = min_real_ratio_on_circle(num, den, radius, n_points, floor)
+        ref = _plain_scan(num, den, _circle_points(radius, n_points), floor)
+        assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=1e-12)
+        assert got[2] == ref[2]
+        assert -1 <= got[1] <= n_points // 2 and got[2] <= n_points // 2
+
+    def test_floor_violation_at_first_point(self):
+        # denominator z - 2 z^2 vanishes at z = 0.5 (sample index 0)
+        got = min_real_ratio_on_circle([0.0, 1.0, -4.0], [0.0, 1.0, -2.0],
+                                       0.5, 64, 1e-12)
+        assert got[2] == 0
+
+    def test_shorter_numerator_is_zero_padded(self):
+        num, den = [0.0, 1.0], [0.0, 1.0, 0.3, -0.2]
+        got = min_real_ratio_on_circle(num, den, 0.9, 128, 1e-12)
+        padded = num + [0.0, 0.0]
+        assert got == min_real_ratio_on_circle(padded, den, 0.9, 128, 1e-12)
+        assert got == _plain_scan(num, den, _symmetric_points(0.9, 128), 1e-12)
+
+
+def _literal_coefficient(nu, n):
+    return (mpmath.gamma(nu + 1) * mpmath.gamma(mpmath.mpf(n + 1) / 2)
+            / (mpmath.sqrt(mpmath.pi) * mpmath.factorial(n)
+               * mpmath.gamma(mpmath.mpf(n) / 2 + nu + 1)))
+
+
+class TestOracleCache:
+    @pytest.mark.parametrize("dps", (50, 80))
+    def test_cached_values_equal_the_literal_formula(self, dps):
+        for nu in (-0.45, 0.0, 1.7, 9.3):
+            for _ in range(2):  # second pass reads the caches
+                with mpmath.workdps(dps):
+                    nu_mp = mpmath.mpf(nu)
+                    for n in (0, 1, 2, 7, 40):
+                        assert (_oracle_coefficient(nu_mp, n)
+                                == _literal_coefficient(nu_mp, n))
+
+    def test_precision_change_recomputes(self):
+        with mpmath.workdps(50):
+            low = _oracle_coefficient(mpmath.mpf(2.5), 3)
+        with mpmath.workdps(80):
+            high = _oracle_coefficient(mpmath.mpf(2.5), 3)
+            assert high == _literal_coefficient(mpmath.mpf(2.5), 3)
+        assert high != low
+
+    @pytest.mark.parametrize("selector, nu, n, lam, alpha, digits", [
+        ("t_proof", 1.5, None, 0.3, 0.2,
+         "2.3226474650282261039209232859607856314285139779463"),
+        ("t_stated", -0.25, None, 0.6, 0.1,
+         "4.7580668974353457330467914492014886941427393475211"),
+        ("qnu", 7.0, None, 0.5, 0.5,
+         "1.1536537224205051605155746651536085214654835349471"),
+        ("c", 2.0, 9, 0.0, 0.0,
+         "0.000000039881405515438124443491295519455732079816782580105"),
+    ])
+    def test_oracle_values_pinned_to_fifty_digits(self, selector, nu, n, lam,
+                                                  alpha, digits):
+        # written before the Gamma factors were cached
+        got = highprec_sum_oracle(selector, nu, n=n, lam=lam, alpha=alpha)
+        assert mpmath.nstr(got, 50) == digits

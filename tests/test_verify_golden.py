@@ -1,0 +1,23 @@
+"""`verify` output pinned byte for byte.
+
+The files under ``tests/data/`` were written by ``verify`` before the circle
+scan evaluated half the circle and the 50-digit oracle cached its Gamma
+factors; both changes must leave the output unchanged.  A golden file can be
+reproduced with ``besselstruve verify --seed <s> > tests/data/verify_seed<s>.txt``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from besselstruve.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("seed", (7, 2024, 31337))
+def test_verify_matches_golden_bytes(capsys, seed):
+    code = main(["verify", "--seed", str(seed)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (DATA / f"verify_seed{seed}.txt").read_text(encoding="utf-8")
