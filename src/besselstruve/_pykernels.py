@@ -18,23 +18,28 @@ LGAMMA_CUTOFF = 32
 _LN2 = 0.6931471805599453
 _TWO_PI = 6.283185307179586
 
+# lgamma(n/2 + 1) for n = 0..LGAMMA_CUTOFF: the part of c_n that does not
+# depend on nu, evaluated once with the same expression the table used.
+_LGAMMA_HALF = tuple(math.lgamma(0.5 * n + 1.0) for n in range(LGAMMA_CUTOFF + 1))
+
 
 def coefficient_table(nu, n_max):
     """Kernel coefficients c_0..c_n_max for order nu.
 
     c_n = Gamma(nu+1) / (2^n * Gamma(n/2 + 1) * Gamma(n/2 + nu + 1)),
     evaluated through log-gamma differences for n <= LGAMMA_CUTOFF and via
-    c_n = c_{n-2} / (n * (n + 2*nu)) above it.  Values that fall below the
-    normal double range underflow gradually to 0.0.
+    c_n = c_{n-2} / (n * (n + 2*nu)) above it.  Each entry depends on
+    n_max only through that cutoff, so a table is a prefix of every longer
+    one.  Values that fall below the normal double range underflow
+    gradually to 0.0.
     """
     lg_nu1 = math.lgamma(nu + 1.0)
     top = min(n_max, LGAMMA_CUTOFF)
     vals = [0.0] * (n_max + 1)
     vals[0] = 1.0
     for n in range(1, top + 1):
-        h = 0.5 * n
-        vals[n] = math.exp(lg_nu1 - n * _LN2 - math.lgamma(h + 1.0)
-                           - math.lgamma(h + nu + 1.0))
+        vals[n] = math.exp(lg_nu1 - n * _LN2 - _LGAMMA_HALF[n]
+                           - math.lgamma(0.5 * n + nu + 1.0))
     for n in range(top + 1, n_max + 1):
         vals[n] = vals[n - 2] / (n * (n + 2.0 * nu))
     return vals

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from ._backend import kernels
 from .errors import DomainError, ParameterError
@@ -44,6 +45,9 @@ __all__ = [
 # majorant is both valid and rapidly shrinking.
 _RATIO_CAP = 0.875
 _MAX_TERMS = 10_000
+# Highest index of the first table a truncation search builds.  The search
+# at tol 1e-12 and weight n^3 ends at N = 11..17 for nu in [-0.45, 40].
+_FIRST_SIZE = 24
 
 _LN2 = 0.6931471805599453
 
@@ -134,10 +138,14 @@ def _check_tol(tol: float) -> float:
 
 
 def log_kernel_coefficient(nu, n: int) -> float:
-    """log c_n(nu), stable for any n (the value itself may underflow a double).
+    """log c_n(nu), finite where the value itself underflows a double.
 
     Uses the Legendre-duplication form
     log c_n = lgamma(nu+1) - n*log 2 - lgamma(n/2+1) - lgamma(n/2+nu+1).
+    Its absolute error grows with the size of those lgamma terms: measured
+    against 60-digit mpmath, at most 1.1e-11 for -1 < nu <= 1e3 and
+    n <= 10 000, but 3.4e-9 at nu = 1e6 and 4.1e-6 at nu = 1e9, where the
+    difference of two large lgamma values cancels (ROADMAP item 1).
     """
     order = _as_order(nu)
     n = _check_index(n)
@@ -159,9 +167,14 @@ def _check_index(n) -> int:
 def kernel_coefficient(nu, n: int) -> float:
     """The n-th kernel coefficient c_n(nu), nu > -1.
 
-    Relative error stays below 1e-13 throughout the normal double range
-    (measured max 1.7e-14 on the standard order grid for n <= 500); values
-    past the underflow horizon (around n = 170 for moderate nu) degrade
+    Relative error stays below 1e-13 for -1 < nu <= 50 down to the
+    normal double range (measured against 60-digit mpmath: max 1.7e-14 on
+    the standard order grid for n <= 500, and 9.5e-14 for n <= 100 at
+    nu in [20, 50]).  It grows with nu, because the lgamma differences for
+    n <= 32 cancel: c_1 is off by 6.9e-15 at nu = 1e3, 1.4e-9 at nu = 1e6
+    and 4.1e-6 at nu = 1e9, and c_2..c_64 by up to 1.3e-12 at nu = 1e3
+    (ROADMAP item 1 replaces them with an exact recurrence).  Values past
+    the underflow horizon (around n = 170 for moderate nu) degrade
     gracefully through subnormals to 0.0 -- use `log_kernel_coefficient`
     when the magnitude of such a coefficient is needed.
     """
@@ -212,27 +225,37 @@ def _truncated_table(nu: float, tol: float, power: int):
     """Smallest table with the power-weighted tail below tol.
 
     Returns (values c_0..c_N as a list, tail bound, envelope ratio q).
-    An index whose first tail term, multiplied as `_weighted_tail` multiplies
-    it, already exceeds tol is skipped without summing the tail: the sum
-    can only be larger, so the accepted index and bound are unchanged.
+    The scan starts on a table of _FIRST_SIZE + 1 entries, which covers the
+    usual truncation; when no index passes, the table doubles and the scan
+    resumes where it stopped (a table is a prefix of any longer one).  The
+    envelope is `_tail_envelope`, inlined.  An index whose first tail term,
+    multiplied as `_weighted_tail` multiplies it, already exceeds tol is
+    skipped without summing the tail: the sum can only be larger, so the
+    accepted index and bound are unchanged.
     """
-    size = 64
-    while size <= 4 * _MAX_TERMS:
+    size, start = _FIRST_SIZE, 2
+    while True:
         vals = kernels.coefficient_table(nu, min(size, _MAX_TERMS + 2))
-        for n in range(2, len(vals) - 2):
-            q, ok = _tail_envelope(vals, n)
-            if not ok or vals[n] * q * float(n + 2) ** power > tol:
-                continue
-            tail = _weighted_tail(vals[n], n, q, power)
+        for n in range(start, len(vals) - 2):
+            c0 = vals[n]
+            c1 = vals[n + 1]
+            if c0 <= 0.0 or c1 <= 0.0:
+                q = 0.0  # underflowed: the remaining tail is below resolution
+            else:
+                r0 = c1 / c0
+                r1 = vals[n + 2] / c1
+                q = r1 if r1 > r0 else r0
+                if q >= _RATIO_CAP or c0 * q * float(n + 2) ** power > tol:
+                    continue
+            tail = _weighted_tail(c0, n, q, power)
             if tail <= tol:
                 return vals[: n + 1], tail, q
         if size >= _MAX_TERMS:
-            break
-        size *= 2
-    raise RuntimeError(
-        f"no geometric tail within {_MAX_TERMS} terms for nu={nu}; "
-        "this cannot happen for nu > -1"
-    )
+            raise RuntimeError(
+                f"no geometric tail within {_MAX_TERMS} terms for nu={nu}; "
+                "this cannot happen for nu > -1"
+            )
+        size, start = 2 * size, len(vals) - 2
 
 
 @lru_cache(maxsize=512)
@@ -276,11 +299,16 @@ def eval_kernel(nu, z, tol: float = 1e-12) -> complex:
 
 
 def _table_for_radius(nu: float, tol: float, radius: float):
-    size = 64
-    while size <= 4 * _MAX_TERMS:
+    """Smallest table whose |z|-rescaled tail majorant is below tol.
+
+    Grows and resumes like `_truncated_table`; the running term
+    c_n * radius^n carries over each doubling.
+    """
+    size, start = _FIRST_SIZE, 1
+    term = 1.0  # c_0 * radius^0
+    while True:
         vals = kernels.coefficient_table(nu, min(size, _MAX_TERMS + 2))
-        term = 1.0  # c_0 * radius^0
-        for n in range(1, len(vals) - 2):
+        for n in range(start, len(vals) - 2):
             if vals[n - 1] > 0.0:
                 term *= radius * vals[n] / vals[n - 1]
             else:
@@ -292,9 +320,9 @@ def _table_for_radius(nu: float, tol: float, radius: float):
             if ok and qr < 1.0 and term * qr / (1.0 - qr) <= tol:
                 return vals[: n + 1]
         if size >= _MAX_TERMS:
-            break
-        size *= 2
-    raise RuntimeError(f"series truncation for |z|={radius} exceeded {_MAX_TERMS} terms")
+            raise RuntimeError(
+                f"series truncation for |z|={radius} exceeded {_MAX_TERMS} terms")
+        size, start = 2 * size, len(vals) - 2
 
 
 def eval_normalized(nu, z, tol: float = 1e-12) -> complex:
@@ -309,6 +337,27 @@ def eval_phi(nu, z, tol: float = 1e-12) -> complex:
     return z * (2.0 - eval_kernel(nu, z, tol))
 
 
+@lru_cache(maxsize=None)
+def _moment_weights(bits: int):
+    """Integer weights of m0..m3 and s1..s3 for table indices 0..2**bits - 1.
+
+    Index m carries the integer factor each termwise sum multiplies c_m by
+    (0 where that sum starts later), so each int * float product is the
+    termwise one bit for bit.  `map` stops at the table's end, and fsum is
+    exact in any order, so the sums equal the termwise ones.
+    """
+    ms = range(1, 1 << bits)
+    return (
+        (0, *(1 for m in ms)),
+        (0, *(m + 1 for m in ms)),
+        (0, *((m + 1) ** 2 for m in ms)),
+        (0, *((m + 1) ** 3 for m in ms)),
+        (0, *ms),
+        (0, *(m * (m - 1) for m in ms)),
+        (0, *(m * (m - 1) * (m - 2) for m in ms)),
+    )
+
+
 def moments(nu, tol: float = 1e-12) -> MomentSet:
     """Termwise m_k and s_k values at z = 1, each accurate to tol.
 
@@ -320,16 +369,13 @@ def moments(nu, tol: float = 1e-12) -> MomentSet:
     order = _as_order(nu)
     tol = _check_tol(tol)
     vals, _, _ = _cached_table(order.nu, tol, 3)
-    top = len(vals)
-    m0 = math.fsum(vals[m] for m in range(1, top))
-    m1 = math.fsum((m + 1) * vals[m] for m in range(1, top))
-    m2 = math.fsum((m + 1) ** 2 * vals[m] for m in range(1, top))
-    m3 = math.fsum((m + 1) ** 3 * vals[m] for m in range(1, top))
-    s0 = math.fsum(vals)
-    s1 = math.fsum(m * vals[m] for m in range(1, top))
-    s2 = math.fsum(m * (m - 1) * vals[m] for m in range(2, top))
-    s3 = math.fsum(m * (m - 1) * (m - 2) * vals[m] for m in range(3, top))
-    out = MomentSet(m0, m1, m2, m3, s0, s1, s2, s3, tol)
+    fsum = math.fsum
+    w_m0, w_m1, w_m2, w_m3, w_s1, w_s2, w_s3 = _moment_weights(len(vals).bit_length())
+    out = MomentSet(
+        fsum(map(mul, w_m0, vals)), fsum(map(mul, w_m1, vals)),
+        fsum(map(mul, w_m2, vals)), fsum(map(mul, w_m3, vals)),
+        fsum(vals), fsum(map(mul, w_s1, vals)),
+        fsum(map(mul, w_s2, vals)), fsum(map(mul, w_s3, vals)), tol)
     worst = max(abs(r) for r in out.identity_residuals())
     if worst > 10.0 * tol:
         raise ParameterError(

@@ -11,11 +11,14 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselstruve import (CoefficientSequence, DomainError, KernelOrder,
-                          ParameterError, coefficient_sequence, eval_kernel,
-                          eval_normalized, eval_phi, highprec_sum_oracle,
-                          kernel_coefficient, log_kernel_coefficient, moments)
+                          MomentSet, ParameterError, coefficient_sequence,
+                          eval_kernel, eval_normalized, eval_phi,
+                          highprec_sum_oracle, kernel_coefficient,
+                          log_kernel_coefficient, moments, series)
 from besselstruve._backend import kernels
 
 from conftest import NU_GRID, disk_points
@@ -28,6 +31,59 @@ def _log_coeff_direct(nu, n):
     return (math.lgamma(nu + 1.0) + math.lgamma(0.5 * (n + 1))
             - 0.5 * math.log(math.pi) - math.lgamma(n + 1.0)
             - math.lgamma(0.5 * n + nu + 1.0))
+
+
+def _full_search(nu, tol, power):
+    """Reference truncation search: unpruned, rescanned from n = 2 on
+    tables of 64, 128, ... entries."""
+    for size in (64 << k for k in range(9)):
+        vals = kernels.coefficient_table(
+            nu, min(size, series._MAX_TERMS + 2))
+        for n in range(2, len(vals) - 2):
+            q, ok = series._tail_envelope(vals, n)
+            if not ok:
+                continue
+            tail = series._weighted_tail(vals[n], n, q, power)
+            if tail <= tol:
+                return vals[: n + 1], tail, q
+    raise AssertionError(f"no truncation for nu={nu}")
+
+
+def _full_radius_search(nu, tol, radius):
+    """Reference truncation for |z| = radius > 1: rescanned from n = 1 on
+    tables of 64, 128, ... entries."""
+    for size in (64 << k for k in range(9)):
+        vals = kernels.coefficient_table(
+            nu, min(size, series._MAX_TERMS + 2))
+        term = 1.0
+        for n in range(1, len(vals) - 2):
+            if vals[n - 1] > 0.0:
+                term *= radius * vals[n] / vals[n - 1]
+            else:
+                term = 0.0
+            if n < 2:
+                continue
+            q, ok = series._tail_envelope(vals, n)
+            qr = q * radius
+            if ok and qr < 1.0 and term * qr / (1.0 - qr) <= tol:
+                return vals[: n + 1]
+    raise AssertionError(f"no truncation for nu={nu}, |z|={radius}")
+
+
+def _termwise_moments(nu, tol):
+    """Reference moments: one generator-expression fsum per field."""
+    vals, _, _ = _full_search(nu, tol, 3)
+    top = len(vals)
+    return MomentSet(
+        math.fsum(vals[m] for m in range(1, top)),
+        math.fsum((m + 1) * vals[m] for m in range(1, top)),
+        math.fsum((m + 1) ** 2 * vals[m] for m in range(1, top)),
+        math.fsum((m + 1) ** 3 * vals[m] for m in range(1, top)),
+        math.fsum(vals),
+        math.fsum(m * vals[m] for m in range(1, top)),
+        math.fsum(m * (m - 1) * vals[m] for m in range(2, top)),
+        math.fsum(m * (m - 1) * (m - 2) * vals[m] for m in range(3, top)),
+        tol)
 
 
 def _log_ratio(nu, n):
@@ -160,27 +216,51 @@ class TestCoefficientSequence:
 
     def test_pruned_search_matches_full_search(self):
         # the truncation search skips indices whose first tail term already
-        # exceeds tol; the unpruned loop below is the reference it must equal
-        from besselstruve import series
-
-        def full_search(nu, tol, power):
-            for size in (64 << k for k in range(9)):
-                vals = kernels.coefficient_table(
-                    nu, min(size, series._MAX_TERMS + 2))
-                for n in range(2, len(vals) - 2):
-                    q, ok = series._tail_envelope(vals, n)
-                    if not ok:
-                        continue
-                    tail = series._weighted_tail(vals[n], n, q, power)
-                    if tail <= tol:
-                        return vals[: n + 1], tail, q
-            raise AssertionError(f"no truncation for nu={nu}")
-
-        for nu in (-0.999, -0.9, -0.49, 0.0, 0.37, 2.0, 11.5, 1e3, 1e5):
-            for tol in (0.5, 1e-6, 1e-12, 1e-15):
+        # exceeds tol, and it starts on a short table that it doubles and
+        # resumes; the unpruned loop over 64-entry-and-up tables is the
+        # reference it must equal.  tol 1e-300 and 5e-324 force doublings.
+        for nu in (-0.999, -0.9, -0.49, 0.0, 0.37, 2.0, 11.5, 1e3, 1e5,
+                   -0.9999999999999999, -0.45, 40.0, 1e300):
+            for tol in (0.5, 1e-6, 1e-12, 1e-15, 1e-300, 5e-324):
                 for power in (0, 1, 2, 3):
                     assert series._truncated_table(nu, tol, power) == \
-                        full_search(nu, tol, power)
+                        _full_search(nu, tol, power)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(nu=st.floats(math.log(1e-12), math.log(1e5 + 1.0)).map(
+               lambda u: min(math.expm1(u), 1e5)),
+           tol=st.floats(math.log(1e-15), math.log(0.5)).map(math.exp),
+           power=st.integers(0, 3))
+    def test_sized_search_and_moments_match_references(self, nu, tol, power):
+        # nu log-uniform in (-1, 1e5] through nu + 1
+        assert series._truncated_table(nu, tol, power) == \
+            _full_search(nu, tol, power)
+        ref = _termwise_moments(nu, tol)
+        if max(abs(r) for r in ref.identity_residuals()) > 10.0 * tol:
+            with pytest.raises(ParameterError, match="identity residual"):
+                moments(nu, tol)
+        else:
+            got = moments(nu, tol)
+            for name in ("m0", "m1", "m2", "m3", "s0", "s1", "s2", "s3", "tol"):
+                assert getattr(got, name) == getattr(ref, name), name
+
+    def test_cold_moments_builds_a_short_table(self, monkeypatch):
+        # the first table covers the usual truncation (N = 11..17 at
+        # tol 1e-12): at most 25 coefficients per cold moments call
+        built = []
+        table = kernels.coefficient_table
+
+        def counting_table(nu, n_max):
+            vals = table(nu, n_max)
+            built.append(len(vals))
+            return vals
+
+        monkeypatch.setattr(series.kernels, "coefficient_table", counting_table)
+        for nu in NU_GRID:
+            series._cached_table.cache_clear()
+            built.clear()
+            moments(nu, 1e-12)
+            assert 0 < sum(built) <= 25, (nu, built)
 
 
 class TestEvalKernel:
@@ -210,6 +290,15 @@ class TestEvalKernel:
             math.e ** 2, abs=2e-12)
         assert eval_kernel(-0.5, -3.0, 1e-12).real == pytest.approx(
             math.e ** -3, abs=2e-12)
+
+    def test_outside_unit_disk_table_matches_full_search(self):
+        # tables for |z| > 1 grow and resume the scan; the reference
+        # rescans every doubled table from n = 1
+        for nu in (-0.999, -0.49, 0.0, 2.0, 40.0, 1e5):
+            for radius in (1.01, 2.0, 7.5, 60.0, 400.0):
+                for tol in (1e-6, 1e-12, 1e-300):
+                    assert series._table_for_radius(nu, tol, radius) == \
+                        _full_radius_search(nu, tol, radius)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
