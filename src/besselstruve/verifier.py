@@ -8,7 +8,9 @@ Three unrelated routes cross-check the `criteria` module:
 * the termwise differential-equation residual of the kernel;
 * a 50-digit summation oracle that recomputes every left-hand side from the
   literal Gamma-quotient coefficients, sharing no code with the double
-  precision path.
+  precision path.  Its sums run on raw mpf values: each weight is exact,
+  and each product and partial sum is rounded once.  Past nu = 1e30 it
+  adds one digit per decade of nu.
 
 `run_suites` packages these as seeded pass/fail checks for the CLI.
 """
@@ -28,7 +30,7 @@ from .errors import DenominatorDegeneracyError, DomainError, ParameterError
 from .operators import (NormalizedSeries, Outcome, bessel_struve_transform,
                         coefficient_sum_L, coefficient_sum_T, kernel_series,
                         phi_series, q_operator, rtab_extremal_sequence)
-from .series import _as_order, _cached_table, _check_tol, moments
+from .series import _as_order, _cached_table, _check_index, _check_tol, moments
 
 __all__ = [
     "DiskSampling",
@@ -163,7 +165,8 @@ def ode_residual(nu, z, tol: float = 1e-12) -> float:
 # ----------------------------------------------------------------------------
 # 50-digit summation oracle.  Deliberately naive and self-contained: the
 # coefficients come from the literal Gamma-quotient formula and every sum is
-# a plain termwise loop with an explicit geometric remainder bound.
+# a plain termwise loop, on raw mpf values, with an explicit geometric
+# remainder bound.
 
 _ORACLE_DPS = 50
 
@@ -227,33 +230,75 @@ def _oracle_coefficient(nu, n):
 
 @lru_cache(maxsize=8)
 def _oracle_stops(prec):
-    """The (term, remainder) thresholds 1e-40 and 1e-30 at precision prec."""
+    """The raw (term, remainder) thresholds 1e-40 and 1e-30 at precision prec."""
     import mpmath
 
-    return mpmath.mpf("1e-40"), mpmath.mpf("1e-30")
+    return mpmath.mpf("1e-40")._mpf_, mpmath.mpf("1e-30")._mpf_
+
+
+@lru_cache(maxsize=16)
+def _coefficient_list(nu, prec):
+    """Raw c_0, c_1, ... of order ``nu`` at precision ``prec``.
+
+    The one list per key is shared by every caller, which appends
+    `_oracle_coefficient` values to it as sums reach further.
+    """
+    return []
+
+
+def _oracle_dps(nu: float) -> int:
+    """50 digits, plus one per decade of nu past 1e30.
+
+    At 50 digits mpf(nu) + 1 == nu from nu ~ 1e50 on, which wrecks the
+    Gamma arguments nu + 1 and n/2 + nu + 1; the extra digits keep nu + 1
+    exact with 20 digits to spare.  Every nu <= 1e30 keeps 50 digits.
+    """
+    if nu <= 1e30:
+        return _ORACLE_DPS
+    return _ORACLE_DPS + math.ceil(math.log10(nu)) - 30
+
+
+def _fixed_point(x):
+    """(m, e) with m an integer and x == m * 2**e exactly, for a finite mpf x."""
+    sign, man, exp, _ = x._mpf_
+    if not man:
+        if exp:
+            raise ParameterError(f"lambda and alpha must be finite, got {x}")
+        return 0, 0
+    return (-man if sign else man), exp
 
 
 def _oracle_sum(termfn, start: int):
     """sum_{n>=start} termfn(n) for positive factorially decaying terms.
 
     Stops once the term is below 1e-40 and certifies the remainder by the
-    geometric bound term*r/(1-r) < 1e-30.
+    geometric bound term*r/(1-r) < 1e-30.  ``termfn`` returns a raw mpf
+    value (an ``_mpf_`` tuple) and the term, total, ratio and remainder
+    stay raw, so no mpf object is made per term: each operation is the
+    `mpmath.libmp` call the mpf operator makes, at the current precision
+    rounded to nearest, and rounds exactly as that operator does.  The
+    precision is the caller's: `highprec_sum_oracle` works at 50 digits,
+    plus one per decade of nu past 1e30.  Returns an mpf.
     """
     import mpmath
+    from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_lt, mpf_mul,
+                              mpf_sub)
 
-    small_term, small_rem = _oracle_stops(mpmath.mp.prec)
-    total = mpmath.mpf(0)
+    prec = mpmath.mp.prec
+    small_term, small_rem = _oracle_stops(prec)
+    total = fzero
     prev = None
     n = start
     while True:
         term = termfn(n)
-        total += term
-        if prev is not None and n - start > 8 and term < small_term:
-            r = term / prev
-            if r < 1:
-                rem = term * r / (1 - r)
-                if rem < small_rem:
-                    return total
+        total = mpf_add(total, term, prec, "n")
+        if prev is not None and n - start > 8 and mpf_lt(term, small_term):
+            r = mpf_div(term, prev, prec, "n")
+            if mpf_lt(r, fone):
+                rem = mpf_div(mpf_mul(term, r, prec, "n"),
+                              mpf_sub(fone, r, prec, "n"), prec, "n")
+                if mpf_lt(rem, small_rem):
+                    return mpmath.mp.make_mpf(total)
         if n - start > 100_000:
             raise RuntimeError("oracle summation failed to converge")
         prev = term
@@ -270,54 +315,91 @@ def highprec_sum_oracle(selector: str, nu, n: Optional[int] = None,
     agreement is a genuine two-route check.  Returns an mpmath float.
     mpmath is imported here, on first use, so that importing the package
     does not pay for it.
+
+    Each term is its weight times a coefficient, rounded once: the weight
+    is i**k for m_k, i(i-1)...(i-k+1) for s_k (and the stated form's
+    s_1, s_2), (i*lam - lam + 1)(i - alpha) for t_proof and starlike, and
+    i times that for l, convex, qnu and jnu.  It is formed exactly, as an
+    integer times a power of two built from the mantissas of lam and
+    alpha.  For lam and alpha that are 0 or in [2**-22, 1) it fits the
+    169-bit working precision (every sum ends before i = 64), so each term
+    rounds exactly like the termwise mpf product; for smaller nonzero lam
+    or alpha the result is the exactly weighted sum.  qnu's c_{i-1}/i and
+    jnu's (c_{i-1}*scale)/i are rounded as written.  The working precision
+    is 50 digits, plus one per decade of nu past 1e30 (see `_oracle_dps`).
     """
     import mpmath
+    from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_mul_int, mpf_shift
 
     if selector not in SELECTORS:
         raise ParameterError(f"unknown selector {selector!r}; one of {SELECTORS}")
-    nu_val = nu.nu if hasattr(nu, "nu") else float(nu)
-    with mpmath.workdps(_ORACLE_DPS):
+    nu_val = _as_order(nu).nu
+    if selector == "c":
+        if n is None:
+            raise ParameterError("selector 'c' needs the index n")
+        n = _check_index(n)
+    with mpmath.workdps(_oracle_dps(nu_val)):
         nu_mp = mpmath.mpf(nu_val)
+        if selector == "c":
+            return _oracle_coefficient(nu_mp, n)
         lam_mp = mpmath.mpf(lam)
         alpha_mp = mpmath.mpf(alpha)
-        c = lambda k: _oracle_coefficient(nu_mp, k)
-        if selector == "c":
-            if n is None:
-                raise ParameterError("selector 'c' needs the index n")
-            return c(n)
+        prec = mpmath.mp.prec
+        coeffs = _coefficient_list(nu_mp, prec)
+
+        def c(k):
+            while len(coeffs) <= k:
+                coeffs.append(_oracle_coefficient(nu_mp, len(coeffs))._mpf_)
+            return coeffs[k]
+
+        def derivative(k):
+            """S^(k)(1) = sum_{i>=k} i(i-1)...(i-k+1) c_i."""
+            return _oracle_sum(
+                lambda i: mpf_mul_int(c(i), math.perm(i, k), prec, "n"), k)
+
         if selector in _M_SELECTORS:
             k = int(selector[1])
-            return _oracle_sum(lambda i: mpmath.mpf(i) ** k * c(i - 1), 2)
+            return _oracle_sum(
+                lambda i: mpf_mul_int(c(i - 1), i ** k, prec, "n"), 2)
         if selector in _S_SELECTORS:
-            k = int(selector[1])
-            return _oracle_sum(lambda i: mpmath.ff(i, k) * c(i), k)
-        if selector in ("t_proof", "starlike"):
-            if selector == "starlike":
-                lam_mp = mpmath.mpf(0)
-            w = lambda i: (i * lam_mp - lam_mp + 1) * (i - alpha_mp) * c(i - 1)
-            return _oracle_sum(w, 2) + (1 - alpha_mp)
+            return derivative(int(selector[1]))
         if selector == "t_stated":
             # stated variant differs only in the S'(1) weight; summed through
             # the derivative values to keep the route distinct from criteria
-            s0 = _oracle_sum(lambda i: c(i), 0)
-            s1 = _oracle_sum(lambda i: i * c(i), 1)
-            s2 = _oracle_sum(lambda i: i * (i - 1) * c(i), 2)
+            s0, s1, s2 = derivative(0), derivative(1), derivative(2)
             return (lam_mp * s2 + (1 - lam_mp * alpha_mp) * s1
                     + (1 - alpha_mp) * s0)
-        if selector in ("l", "convex"):
-            if selector == "convex":
-                lam_mp = mpmath.mpf(0)
-            w = lambda i: i * (i * lam_mp - lam_mp + 1) * (i - alpha_mp) * c(i - 1)
-            return _oracle_sum(w, 2) + (1 - alpha_mp)
+        if selector in ("starlike", "convex"):
+            lam_mp = mpmath.mpf(0)
+        # (i*lam - lam + 1)(i - alpha) = u*v * 2**shift with the integers
+        # u = (i-1)*lam_m + one and v = i*unit - alpha_m, where one and unit
+        # are the powers of two that make lam_m and alpha_m integers.
+        lam_m, lam_e = _fixed_point(lam_mp)
+        alpha_m, alpha_e = _fixed_point(alpha_mp)
+        e1, e2 = min(lam_e, 0), min(alpha_e, 0)
+        lam_m <<= lam_e - e1
+        alpha_m <<= alpha_e - e2
+        one, unit, shift = 1 << -e1, 1 << -e2, e1 + e2
+        if selector in ("t_proof", "starlike"):
+            weight = lambda i: ((i - 1) * lam_m + one) * (i * unit - alpha_m)
+        else:
+            weight = lambda i: i * ((i - 1) * lam_m + one) * (i * unit - alpha_m)
         if selector == "jnu":
             scale = (mpmath.mpf(a) - mpmath.mpf(b)) * mpmath.mpf(tau_abs)
-            w = lambda i: (i * (i * lam_mp - lam_mp + 1) * (i - alpha_mp)
-                           * (c(i - 1) * scale / i))
-            return _oracle_sum(w, 2)
-        # qnu: through the integral variant's own coefficients c_{n-1}/n
-        w = lambda i: (i * (i * lam_mp - lam_mp + 1) * (i - alpha_mp)
-                       * (c(i - 1) / i))
-        return _oracle_sum(w, 2) + (1 - alpha_mp)
+            if not mpmath.isfinite(scale):
+                raise ParameterError(f"A, B and |tau| must be finite, got "
+                                     f"{a!r}, {b!r}, {tau_abs!r}")
+            scale = scale._mpf_
+            coef = lambda i: mpf_div(mpf_mul(c(i - 1), scale, prec, "n"),
+                                     from_int(i), prec, "n")
+        elif selector == "qnu":
+            # through the integral variant's own coefficients c_{n-1}/n
+            coef = lambda i: mpf_div(c(i - 1), from_int(i), prec, "n")
+        else:
+            coef = lambda i: c(i - 1)
+        total = _oracle_sum(lambda i: mpf_shift(
+            mpf_mul_int(coef(i), weight(i), prec, "n"), shift), 2)
+        return total if selector == "jnu" else total + (1 - alpha_mp)
 
 
 # ----------------------------------------------------------------------------

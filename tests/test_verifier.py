@@ -342,3 +342,151 @@ class TestOracleCache:
         # written before the Gamma factors were cached
         got = highprec_sum_oracle(selector, nu, n=n, lam=lam, alpha=alpha)
         assert mpmath.nstr(got, 50) == digits
+
+
+# ---------------------------------------------------------------------------
+# The raw-mpf oracle against the termwise mpf expressions it replaced, its
+# input checks, its precision at huge orders, and a closed form.
+
+def _reference_sum(termfn, start):
+    """The termwise mpf summation loop, kept as the bit-identity reference."""
+    small_term, small_rem = mpmath.mpf("1e-40"), mpmath.mpf("1e-30")
+    total = mpmath.mpf(0)
+    prev = None
+    n = start
+    while True:
+        term = termfn(n)
+        total += term
+        if prev is not None and n - start > 8 and term < small_term:
+            r = term / prev
+            if r < 1:
+                rem = term * r / (1 - r)
+                if rem < small_rem:
+                    return total
+        if n - start > 100_000:
+            raise RuntimeError("oracle summation failed to converge")
+        prev = term
+        n += 1
+
+
+def _reference_oracle(selector, nu, n=None, lam=0.0, alpha=0.0, a=1.0, b=-1.0,
+                      tau_abs=1.0):
+    """Every selector as a termwise mpf expression at 50 digits."""
+    with mpmath.workdps(50):
+        nu_mp = mpmath.mpf(nu)
+        lam_mp = mpmath.mpf(lam)
+        alpha_mp = mpmath.mpf(alpha)
+        c = lambda k: _oracle_coefficient(nu_mp, k)
+        if selector == "c":
+            return c(n)
+        if selector in ("m0", "m1", "m2", "m3"):
+            k = int(selector[1])
+            return _reference_sum(lambda i: mpmath.mpf(i) ** k * c(i - 1), 2)
+        if selector in ("s0", "s1", "s2", "s3"):
+            k = int(selector[1])
+            return _reference_sum(lambda i: mpmath.ff(i, k) * c(i), k)
+        if selector in ("t_proof", "starlike"):
+            if selector == "starlike":
+                lam_mp = mpmath.mpf(0)
+            w = lambda i: (i * lam_mp - lam_mp + 1) * (i - alpha_mp) * c(i - 1)
+            return _reference_sum(w, 2) + (1 - alpha_mp)
+        if selector == "t_stated":
+            s0 = _reference_sum(lambda i: c(i), 0)
+            s1 = _reference_sum(lambda i: i * c(i), 1)
+            s2 = _reference_sum(lambda i: i * (i - 1) * c(i), 2)
+            return (lam_mp * s2 + (1 - lam_mp * alpha_mp) * s1
+                    + (1 - alpha_mp) * s0)
+        if selector in ("l", "convex"):
+            if selector == "convex":
+                lam_mp = mpmath.mpf(0)
+            w = lambda i: i * (i * lam_mp - lam_mp + 1) * (i - alpha_mp) * c(i - 1)
+            return _reference_sum(w, 2) + (1 - alpha_mp)
+        if selector == "jnu":
+            scale = (mpmath.mpf(a) - mpmath.mpf(b)) * mpmath.mpf(tau_abs)
+            w = lambda i: (i * (i * lam_mp - lam_mp + 1) * (i - alpha_mp)
+                           * (c(i - 1) * scale / i))
+            return _reference_sum(w, 2)
+        w = lambda i: (i * (i * lam_mp - lam_mp + 1) * (i - alpha_mp)
+                       * (c(i - 1) / i))
+        return _reference_sum(w, 2) + (1 - alpha_mp)
+
+
+# Below 2**-22 (for both lam and alpha) the termwise product of the two
+# weight factors no longer fits 169 bits and is rounded, while the oracle
+# keeps the weight exact; see the `highprec_sum_oracle` docstring.
+_WEIGHT_PARAM = st.one_of(st.just(0.0),
+                          st.floats(2.0 ** -22, 0.95, exclude_max=True))
+
+
+class TestRawOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nu=st.floats(-0.45, 40.0), lam=_WEIGHT_PARAM, alpha=_WEIGHT_PARAM,
+           b=st.floats(-1.0, 0.9), gap=st.floats(0.05, 1.0),
+           tau_abs=st.floats(0.1, 1.0), n=st.integers(0, 60))
+    def test_bit_identical_to_termwise_mpf(self, nu, lam, alpha, b, gap,
+                                           tau_abs, n):
+        from besselstruve.verifier import SELECTORS
+        kw = dict(lam=lam, alpha=alpha, a=b + gap, b=b, tau_abs=tau_abs)
+        for sel in SELECTORS:
+            index = n if sel == "c" else None
+            got = highprec_sum_oracle(sel, nu, n=index, **kw)
+            assert got == _reference_oracle(sel, nu, n=index, **kw), sel
+
+    def test_warm_call_makes_almost_no_mpf_operations(self, monkeypatch):
+        highprec_sum_oracle("l", 3.0, lam=0.3, alpha=0.2)
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                     "__neg__", "__lt__", "__le__", "__gt__", "__ge__"):
+            original = getattr(mpmath.mpf, name)
+
+            def counted(*args, _original=original):
+                calls.append(1)
+                return _original(*args)
+
+            monkeypatch.setattr(mpmath.mpf, name, counted)
+        highprec_sum_oracle("l", 3.0, lam=0.3, alpha=0.2)
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("nu, n, error", [
+        (-1.0, 1, DomainError),
+        (math.nan, 1, DomainError),
+        (1.0, -1, ParameterError),
+        (1.0, 1.5, ParameterError),
+        (1.0, True, ParameterError),
+    ])
+    def test_invalid_order_or_index_rejected(self, nu, n, error):
+        with pytest.raises(error):
+            highprec_sum_oracle("c", nu, n=n)
+
+    @pytest.mark.parametrize("selector, kw", [
+        ("t_proof", dict(lam=math.nan)),
+        ("l", dict(alpha=math.inf)),
+        ("jnu", dict(tau_abs=math.nan)),
+    ])
+    def test_non_finite_weight_parameters_rejected(self, selector, kw):
+        # a NaN term never falls below the stopping threshold
+        with pytest.raises(ParameterError):
+            highprec_sum_oracle(selector, 2.0, **kw)
+
+    @pytest.mark.parametrize("nu", (1e52, 1e100, 1e300))
+    def test_first_coefficient_at_huge_orders(self, nu):
+        # Gamma(nu+1)/(sqrt(pi) Gamma(nu+3/2)) ~ (1 - 3/(8nu) + 25/(128nu^2))
+        # / sqrt(pi nu) (DLMF 5.11.13); the next term is O(nu^-3.5)
+        got = highprec_sum_oracle("c", nu, n=1)
+        with mpmath.workdps(400):
+            x = mpmath.mpf(nu)
+            ref = ((1 - mpmath.mpf(3) / (8 * x) + mpmath.mpf(25) / (128 * x ** 2))
+                   / mpmath.sqrt(mpmath.pi * x))
+            assert abs(got / ref - 1) <= mpmath.mpf("1e-45")
+
+    @pytest.mark.parametrize("nu", (-0.49, 0.0, 0.5, 2.0, 10.0, 40.0))
+    def test_s0_equals_bessel_struve_closed_form(self, nu):
+        # S_nu(1) = Gamma(nu+1) 2^nu (I_nu(1) + L_nu(1)) (DLMF 10.25.2,
+        # 11.2.2), through mpmath's own Bessel and Struve functions
+        got = highprec_sum_oracle("s0", nu)
+        with mpmath.workdps(60):
+            x = mpmath.mpf(nu)
+            ref = (mpmath.gamma(x + 1) * mpmath.power(2, x)
+                   * (mpmath.besseli(x, 1) + mpmath.struvel(x, 1)))
+            assert abs(got / ref - 1) <= mpmath.mpf("1e-40")
