@@ -48,6 +48,8 @@ _MAX_TERMS = 10_000
 # Highest index of the first table a truncation search builds.  The search
 # at tol 1e-12 and weight n^3 ends at N = 11..17 for nu in [-0.45, 40].
 _FIRST_SIZE = 24
+# Covers the rounding error of the closed-form tail bound (`_weighted_tail`).
+_TAIL_ROUND_UP = 1.0 + 1e-14
 
 _LN2 = 0.6931471805599453
 
@@ -145,7 +147,10 @@ def log_kernel_coefficient(nu, n: int) -> float:
     Its absolute error grows with the size of those lgamma terms: measured
     against 60-digit mpmath, at most 1.1e-11 for -1 < nu <= 1e3 and
     n <= 10 000, but 3.4e-9 at nu = 1e6 and 4.1e-6 at nu = 1e9, where the
-    difference of two large lgamma values cancels (ROADMAP item 1).
+    difference of two large lgamma values cancels.  It keeps this form,
+    and so this caveat, although `kernel_coefficient` no longer uses
+    lgamma differences; while c_n is a normal double,
+    log(kernel_coefficient(nu, n)) is accurate for every nu.
     """
     order = _as_order(nu)
     n = _check_index(n)
@@ -167,13 +172,11 @@ def _check_index(n) -> int:
 def kernel_coefficient(nu, n: int) -> float:
     """The n-th kernel coefficient c_n(nu), nu > -1.
 
-    Relative error stays below 1e-13 for -1 < nu <= 50 down to the
-    normal double range (measured against 60-digit mpmath: max 1.7e-14 on
-    the standard order grid for n <= 500, and 9.5e-14 for n <= 100 at
-    nu in [20, 50]).  It grows with nu, because the lgamma differences for
-    n <= 32 cancel: c_1 is off by 6.9e-15 at nu = 1e3, 1.4e-9 at nu = 1e6
-    and 4.1e-6 at nu = 1e9, and c_2..c_64 by up to 1.3e-12 at nu = 1e3
-    (ROADMAP item 1 replaces them with an exact recurrence).  Values past
+    Relative error stays below 1e-13 on the whole domain nu > -1 down to
+    the normal double range: c_1 comes from a stable Gamma ratio and the
+    rest from the exact recurrence (see `_pykernels.coefficient_table`).
+    Measured against 60-digit mpmath on 9 000 orders from -1 + 1e-16 to
+    1e300: at most 9.4e-15 for c_1 and 1.4e-14 for c_0..c_200.  Values past
     the underflow horizon (around n = 170 for moderate nu) degrade
     gracefully through subnormals to 0.0 -- use `log_kernel_coefficient`
     when the magnitude of such a coefficient is needed.
@@ -204,21 +207,31 @@ def _weighted_tail(c_n: float, n: int, q: float, power: int) -> float:
     """Upper bound for sum_{k>=1} (n+k+1)^power * c_{n+k} given the envelope q.
 
     The +1 in the weight covers the moment sums, whose index runs one ahead
-    of the coefficient index (n^k * c_{n-1}).
+    of the coefficient index (n^k * c_{n-1}).  With a = n+1 and c_{n+k} <=
+    c_n q^k the bound is the closed form c_n * sum_j C(power, j) a^(power-j)
+    * sum_{k>=1} k^j q^k, for power 0..3, using sum k^j q^k = q/(1-q),
+    q/(1-q)^2, q(1+q)/(1-q)^3 and q(1+4q+q^2)/(1-q)^4, in nested form with
+    u = 1/(1-q).  Every term is positive, and the value passes through at
+    most 24 roundings of relative size 2^-53 (< 3e-15 in all), so the factor
+    _TAIL_ROUND_UP makes it a strict upper bound; the final 5e-324 covers a
+    product that underflows.
     """
     if q <= 0.0:
         return 0.0
+    a = float(n + 1)
+    u = 1.0 / (1.0 - q)
     if power == 0:
-        return c_n * q / (1.0 - q)
-    total = 0.0
-    term = c_n
-    for k in range(1, 100_000):
-        term *= q
-        inc = term * float(n + k + 1) ** power
-        total += inc
-        if inc <= total * 1e-18 + 5e-324:
-            break
-    return total
+        s = 1.0
+    elif power == 1:
+        s = a + u
+    elif power == 2:
+        s = a * a + u * (2.0 * a + u * (1.0 + q))
+    elif power == 3:
+        s = a * a * a + u * (3.0 * a * a + u * (
+            3.0 * a * (1.0 + q) + u * (1.0 + q * (4.0 + q))))
+    else:
+        raise ValueError(f"tail weight power must be 0..3, got {power}")
+    return c_n * (q * u * s) * _TAIL_ROUND_UP + 5e-324
 
 
 def _truncated_table(nu: float, tol: float, power: int):
@@ -228,10 +241,10 @@ def _truncated_table(nu: float, tol: float, power: int):
     The scan starts on a table of _FIRST_SIZE + 1 entries, which covers the
     usual truncation; when no index passes, the table doubles and the scan
     resumes where it stopped (a table is a prefix of any longer one).  The
-    envelope is `_tail_envelope`, inlined.  An index whose first tail term,
-    multiplied as `_weighted_tail` multiplies it, already exceeds tol is
-    skipped without summing the tail: the sum can only be larger, so the
-    accepted index and bound are unchanged.
+    envelope is `_tail_envelope`, inlined.  An index whose first tail term
+    c_N * q * (N+2)^power already exceeds tol is skipped without computing
+    `_weighted_tail`: that bound can only be larger, so the accepted index
+    and bound are unchanged.
     """
     size, start = _FIRST_SIZE, 2
     while True:

@@ -6,6 +6,7 @@ import pytest
 
 from besselstruve import ClassParams, DixitPalParams, SignConvention, \
     NormalizedSeries, write_series
+from besselstruve import highprec_sum_oracle
 from besselstruve.cli import main
 
 
@@ -309,3 +310,30 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith(first_words.format(missing=missing))
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestLargeOrders:
+    """Coefficients at nu far past the lgamma range: the verdicts and lhs
+    agree with the 50-digit oracle."""
+
+    @staticmethod
+    def _value(out, key):
+        line = [l for l in out.splitlines() if l.startswith(key)][0]
+        return float(line.split("=")[1])
+
+    def test_t_holds_at_1e16(self, capsys):
+        # the lgamma table printed margin -8 and exit 1 here
+        code, out, _ = run(capsys, "check", "t", "--nu", "1e16",
+                           "--lambda", "0.5", "--alpha", "0")
+        assert code == 0
+        assert self._value(out, "margin") == pytest.approx(1.0, abs=1e-7)
+        ref = highprec_sum_oracle("t_proof", 1e16, lam=0.5, alpha=0.0)
+        assert self._value(out, "lhs") == pytest.approx(float(ref), abs=1e-12)
+
+    def test_qnu_lhs_at_1e20(self, capsys):
+        # the lgamma table reported lhs 6455.9 here
+        code, out, _ = run(capsys, "check", "qnu", "--nu", "1e20",
+                           "--lambda", "0.5", "--alpha", "0.3")
+        assert code == 0
+        ref = highprec_sum_oracle("qnu", 1e20, lam=0.5, alpha=0.3)
+        assert self._value(out, "lhs") == pytest.approx(float(ref), abs=1e-12)

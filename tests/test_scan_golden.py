@@ -1,9 +1,11 @@
 """`scan` output pinned byte for byte, and every row replayed point by point.
 
-The CSV files under ``tests/data/`` were written by ``scan`` before it was
-changed to evaluate the moments once per nu; the scan must keep producing
-them byte for byte.  Each case is one invocation, so a golden file can be
-reproduced with ``besselstruve scan <argv...> --output tests/data/scan_<case>.csv``.
+The CSV files under ``tests/data/`` were written by ``scan`` once the
+coefficient table came from the exact two-term recurrence (its lhs digits
+moved by at most 2.5e-15 relative and no ``holds`` value changed); the scan
+must keep producing them byte for byte.  Each case is one invocation, so a
+golden file can be reproduced with
+``besselstruve scan <argv...> --output tests/data/scan_<case>.csv``.
 """
 
 import math

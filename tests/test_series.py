@@ -384,3 +384,79 @@ class TestMoments:
         msg = str(info.value)
         assert f"nu={nu!r}" in msg and f"tol={tol!r}" in msg
         assert "identity residual" in msg
+
+
+_DBL_MIN = 2.2250738585072014e-308
+
+
+class TestLargeOrderAccuracy:
+    """c_1 comes from a stable Gamma ratio and the rest from the exact
+    recurrence, so the 1e-13 relative accuracy holds on all of nu > -1."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(nu=st.floats(math.log(1e-15), math.log(1e300)).map(
+               lambda u: min(math.expm1(u), 1e300)),
+           n=st.integers(2, 200))
+    def test_table_entries_match_the_oracle(self, nu, n):
+        # nu log-uniform in (-1, 1e300] through nu + 1; c_1 and c_n are
+        # checked wherever the oracle value lies in the normal double range
+        table = kernels.coefficient_table(nu, n)
+        for i in (1, n):
+            ref = highprec_sum_oracle("c", nu, n=i)
+            if ref < _DBL_MIN:
+                continue
+            assert abs(table[i] - ref) / ref <= 1e-13, (nu, i)
+
+    @pytest.mark.parametrize("nu", (-0.9999999999999999, -0.999, -0.5, 0.0,
+                                    3.7, 11.99, 12.0, 12.01, 20.0, 47.3, 1e3,
+                                    1e6, 1e16, 1e100, 1e300))
+    def test_c1_within_5e_14(self, nu):
+        # both sides of the switch from lgamma to the asymptotic series; at
+        # 1e16 (c_1 = 5.6e-9) the lgamma differences gave exactly 1.0
+        ref = highprec_sum_oracle("c", nu, n=1)
+        assert abs(kernel_coefficient(nu, 1) - ref) / ref <= 5e-14
+
+    def test_s0_at_1e20(self):
+        # s0 - 1 is about c_1 = 5.6e-11; the lgamma table gave s0 = 33
+        s0 = moments(1e20).s0
+        assert s0 - 1.0 == pytest.approx(5.6418958e-11, rel=1e-5)
+        assert s0 == pytest.approx(float(highprec_sum_oracle("s0", 1e20)),
+                                   abs=1e-15)
+
+
+def _mp_weighted_tail(c_n, n, q, power):
+    """c_n * sum_{k>=1} (n+k+1)^power * q^k, summed term by term at 60 digits.
+
+    The term ratio q*((n+k+2)/(n+k+1))^power decreases in k, so once it is
+    r < 1 the rest is below the last term times r/(1-r)."""
+    import mpmath
+    with mpmath.workdps(60):
+        q = mpmath.mpf(q)
+        total = mpmath.mpf(0)
+        qk = mpmath.mpf(1)
+        for k in range(1, 100_000):
+            qk *= q
+            inc = qk * (n + k + 1) ** power
+            total += inc
+            r = q * mpmath.mpf(n + k + 2) ** power / mpmath.mpf(n + k + 1) ** power
+            if r < 1 and inc * r / (1 - r) < total * mpmath.mpf(10) ** -62:
+                return mpmath.mpf(c_n) * total
+    raise AssertionError("reference tail did not converge")
+
+
+class TestWeightedTail:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(c_n=st.floats(math.log(1e-200), 0.0).map(math.exp),
+           n=st.integers(0, 10_000),
+           q=st.floats(1e-12, 0.875, exclude_max=True),
+           power=st.integers(0, 3))
+    def test_closed_form_bounds_the_sum(self, c_n, n, q, power):
+        # a strict upper bound, and tight to 1e-12
+        got = series._weighted_tail(c_n, n, q, power)
+        ref = _mp_weighted_tail(c_n, n, q, power)
+        assert ref <= got <= ref * (1 + 1e-12)
+
+    def test_no_tail_without_envelope(self):
+        assert series._weighted_tail(0.5, 10, 0.0, 3) == 0.0
+        with pytest.raises(ValueError):
+            series._weighted_tail(0.5, 10, 0.5, 4)

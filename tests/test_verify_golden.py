@@ -1,9 +1,10 @@
 """`verify` output pinned byte for byte.
 
-The files under ``tests/data/`` were written by ``verify`` before the circle
-scan evaluated half the circle and the 50-digit oracle cached its Gamma
-factors; both changes must leave the output unchanged.  A golden file can be
-reproduced with ``besselstruve verify --seed <s> > tests/data/verify_seed<s>.txt``.
+The files under ``tests/data/`` were written by ``verify`` once the
+coefficient table came from the exact two-term recurrence, which moved only
+printed residual and diff digits; later changes must leave the output
+unchanged.  A golden file can be reproduced with
+``besselstruve verify --seed <s> > tests/data/verify_seed<s>.txt``.
 """
 
 from pathlib import Path
