@@ -6,11 +6,11 @@ of the kernel derivative values at 1, locates critical orders by guarded
 false position, and cross-checks everything through independent oracles
 (disk sampling, differential-equation residual, 50-digit summation).
 
-Numeric inner loops live in one pure-Python kernel module; see
-``besselstruve.backend_name``.
+Numeric inner loops live in one pure-Python kernel module, ``_pykernels``;
+``besselstruve.backend_name()`` names it.
 """
 
-from ._backend import backend_name
+from ._pykernels import backend_name
 from .criteria import (ClassParams, ConditionForm, DixitPalParams,
                        MembershipVerdict, convex_condition, critical_nu,
                        jnu_condition, l_condition, qnu_condition,

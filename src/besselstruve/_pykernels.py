@@ -2,7 +2,9 @@
 
 Three primitives carry every double-precision hot path: the coefficient
 table, Horner evaluation at one point and the minimum of a ratio's real
-part on a circle.  Callers reach them through ``_backend.kernels``.
+part on a circle.  The numeric modules import this one as ``kernels``
+(``from . import _pykernels as kernels``), so every call goes through that
+one module-global name.
 """
 
 import math
@@ -16,6 +18,11 @@ _SQRT_PI = 1.7724538509055159
 # Below this order c_1 comes from one lgamma pair; above it from the
 # asymptotic series of the Gamma ratio, whose next term is below 4e-16 there.
 _C1_SERIES_FROM = 12.0
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation: "python"."""
+    return NAME
 
 
 def _first_coefficient(nu):

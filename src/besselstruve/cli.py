@@ -20,15 +20,15 @@ import sys
 from typing import Optional
 
 from . import __version__
-from ._backend import backend_name
+from ._pykernels import backend_name
 from .criteria import (CONDITION_NAMES, ClassParams, ConditionForm,
-                       DixitPalParams, _evaluate, _operator_order, _rule,
-                       critical_nu)
+                       DixitPalParams, _evaluate, _rule, critical_nu)
 from .errors import (BesselStruveError, BracketError, DomainError,
                      InconclusiveError, ParameterError)
 from .operators import (Outcome, coefficient_sum_L, coefficient_sum_T,
                         read_series)
-from .series import coefficient_sequence, eval_kernel, eval_normalized, eval_phi, moments
+from .series import (_operator_order, coefficient_sequence, eval_kernel,
+                     eval_normalized, eval_phi, moments)
 from .verifier import SUITE_NAMES, run_suites
 
 EXIT_HOLDS = 0

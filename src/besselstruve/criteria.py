@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import BracketError, DomainError, MonotonicityError, ParameterError
-from .series import KernelOrder, MomentSet, _as_order, moments
+from .errors import BracketError, MonotonicityError, ParameterError
+from .series import MomentSet, _operator_order, moments
 
 __all__ = [
     "ClassParams",
@@ -112,15 +112,6 @@ class MembershipVerdict:
 def _verdict(lhs: float, rhs: float, form: ConditionForm) -> MembershipVerdict:
     margin = rhs - lhs
     return MembershipVerdict(lhs, rhs, margin, margin >= 0.0, form)
-
-
-def _operator_order(nu) -> KernelOrder:
-    order = _as_order(nu)
-    if not order.operator_valid:
-        raise DomainError(
-            f"criterion requires nu > -1/2, got nu={order.nu}"
-        )
-    return order
 
 
 def _check_params(p) -> ClassParams:

@@ -17,10 +17,11 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from ._backend import kernels
-from .criteria import ClassParams, DixitPalParams
-from .errors import DomainError, InconclusiveError, ParameterError, SeriesFormatError
-from .series import _as_order, coefficient_sequence
+from . import _pykernels as kernels
+from .criteria import ClassParams, DixitPalParams, _check_params
+from .errors import InconclusiveError, ParameterError, SeriesFormatError
+from .series import (_check_index, _operator_order, _tail_envelope,
+                     _weighted_tail, coefficient_sequence)
 
 __all__ = [
     "SignConvention",
@@ -94,24 +95,44 @@ class NormalizedSeries:
 def hadamard(f: NormalizedSeries, g: NormalizedSeries) -> NormalizedSeries:
     """Coefficient-wise product, truncated at the shorter input.
 
-    The all-ones series z/(1-z) acts as identity.  Tail certificates multiply:
-    sum_{n>N} |a_n b_n| <= (max |b_n|) * sum |a_n| <= tail(f)*tail(g), and the
-    envelope ratio of the product is the product of envelopes.
+    The all-ones series z/(1-z) acts as identity.  With f the shorter input
+    (truncated at N), sum_{n>N} |a_n b_n| <= (max_{n>N} |b_n|) * tail(f):
+    tail(f)*tail(g) for equal lengths, with the product of the envelope
+    ratios, and `_product_certificate` when g is longer.
     """
-    fa = f.signed()
-    ga = g.signed()
-    m = min(len(fa), len(ga))
-    prod = tuple(fa[k] * ga[k] for k in range(m))
-    tail = f.tail_bound * g.tail_bound
-    ratio = None
-    if f.tail_ratio is not None and g.tail_ratio is not None:
-        ratio = f.tail_ratio * g.tail_ratio
+    if len(f.coeffs) > len(g.coeffs):
+        f, g = g, f
+    prod = tuple(a * b for a, b in zip(f.signed(), g.signed()))
+    if len(prod) < len(g.coeffs):
+        tail, ratio = _product_certificate(f, g)
+    else:
+        tail = f.tail_bound * g.tail_bound
+        ratio = (None if None in (f.tail_ratio, g.tail_ratio)
+                 else f.tail_ratio * g.tail_ratio)
     # keep the magnitude representation when exactly one factor is negative
     if (f.sign is SignConvention.NEGATIVE) != (g.sign is SignConvention.NEGATIVE) \
             and all(c <= 0.0 for c in prod):
         return NormalizedSeries(tuple(-c for c in prod), SignConvention.NEGATIVE,
                                 tail, ratio)
     return NormalizedSeries(prod, SignConvention.GENERAL, tail, ratio)
+
+
+def _product_certificate(f: NormalizedSeries, g: NormalizedSeries):
+    """(tail, ratio) of the product of f with g, truncated at N_f < N_g.
+
+    tail(f) * max(|g_n| for N_f < n <= N_g, tail(g)): each |g_n| past N_g is
+    at most tail(g).  The ratio is q_f * max(|g_{n+1}/g_n| for N_f <= n <
+    N_g, q_g or 0 when g is exact), or None if undefined or >= 1.
+    """
+    n_f = f.truncation_index
+    mags = [1.0, *map(abs, g.coeffs)]  # |g_n| at mags[n - 1]
+    tail = f.tail_bound * max(*mags[n_f:], g.tail_bound) if f.tail_bound else 0.0
+    q_g = 0.0 if g.tail_bound == 0.0 else g.tail_ratio
+    if f.tail_ratio is None or q_g is None or 0.0 in mags[n_f - 1:-1]:
+        return tail, None
+    steps = (b / a for a, b in zip(mags[n_f - 1:], mags[n_f:]))
+    ratio = f.tail_ratio * max(q_g, *steps)
+    return tail, ratio if ratio < 1.0 else None
 
 
 def kernel_series(nu, tol: float = 1e-12) -> NormalizedSeries:
@@ -126,13 +147,6 @@ def phi_series(nu, tol: float = 1e-12) -> NormalizedSeries:
     seq = coefficient_sequence(nu, tol)
     return NormalizedSeries(seq.values[1:], SignConvention.NEGATIVE,
                             seq.tail_bound, seq.tail_ratio)
-
-
-def _operator_order(nu):
-    order = _as_order(nu)
-    if not order.operator_valid:
-        raise DomainError(f"operator requires nu > -1/2, got nu={order.nu}")
-    return order
 
 
 def bessel_struve_transform(nu, f: NormalizedSeries,
@@ -156,22 +170,16 @@ def q_operator(nu, n_terms: int) -> NormalizedSeries:
     series.  ``n_terms`` is the highest power kept.
     """
     order = _operator_order(nu)
-    if n_terms < 1:
-        raise ParameterError(f"n_terms must be >= 1, got {n_terms}")
-    top = max(n_terms + 2, 8)
-    vals = kernels.coefficient_table(order.nu, top)
+    n_terms = _check_index(n_terms, "n_terms", 1)
+    vals = kernels.coefficient_table(order.nu, n_terms + 1)
     coeffs = tuple(vals[n - 1] / n for n in range(2, n_terms + 1))
-    # envelope for b_n = c_{n-1}/n: ratio <= c-ratio, and
-    # sum_{n>N} c_{n-1}/n <= (1/(N+1)) * c_{N-1} * q/(1-q) + handled below
-    cn = vals[n_terms - 1]
-    q = 0.0
-    if cn > 0.0 and vals[n_terms] > 0.0:
-        q = max(vals[n_terms] / vals[n_terms - 1], vals[n_terms + 1] / vals[n_terms])
+    # b_n = c_{n-1}/n: past N the ratio is at most the c-ratio q, and
+    # sum_{n>N} b_n <= c_{N-1}/(N+1) * sum_{k>=1} q^k
+    q, _ = _tail_envelope(vals, n_terms - 1)
     if q >= 1.0:
-        raise ParameterError(
-            f"n_terms={n_terms} truncates before geometric decay at nu={order.nu}"
-        )
-    tail = cn * q / (1.0 - q) / (n_terms + 1) if q > 0.0 else 0.0
+        raise ParameterError(f"n_terms={n_terms} truncates before geometric "
+                             f"decay at nu={order.nu}")
+    tail = _weighted_tail(vals[n_terms - 1] / (n_terms + 1), q, 1.0)
     return NormalizedSeries(coeffs, SignConvention.NEGATIVE, tail,
                             q if q > 0.0 else None)
 
@@ -213,36 +221,42 @@ class WeightedSum:
         return out is Outcome.HOLDS
 
 
-def _weighted_tail_bound(f: NormalizedSeries, weight) -> float:
-    if f.tail_bound == 0.0:
-        return 0.0
-    if f.tail_ratio is None or not f.coeffs:
-        return math.inf
-    base = abs(f.coeffs[-1])
-    if base == 0.0:
-        return math.inf
-    n = f.truncation_index
-    q = f.tail_ratio
-    total = 0.0
-    term = base
-    for k in range(1, 100_000):
-        term *= q
-        inc = term * weight(n + k)
-        total += inc
-        if inc <= total * 1e-18 + 5e-324:
-            break
-    return total
+def _tail_weights(p: ClassParams, n: int, convex: bool):
+    """Coefficients in powers of k of the T (or, ``convex``, L) weight at n+k.
+
+    The T weight at m = n + k is (lam*k + a)(k + b) with a = lam*(n-1) + 1
+    and b = n - alpha; the L weight multiplies it by k + n.  For n >= 1 each
+    coefficient is >= 0, as `_weighted_tail` needs, within 5 roundings.
+    """
+    lam = p.lam
+    a = lam * (n - 1) + 1.0
+    b = n - p.alpha
+    d = (a * b, lam * b + a, lam)
+    if convex:
+        return n * d[0], d[0] + n * d[1], d[1] + n * d[2], d[2]
+    return d
 
 
-def _coefficient_sum(f: NormalizedSeries, p: ClassParams, weight) -> WeightedSum:
+def _coefficient_sum(f: NormalizedSeries, p: ClassParams,
+                     convex: bool) -> WeightedSum:
+    """The weighted sum over f's stored coefficients, and a bound on the rest:
+    |a_N| * sum_{k>=1} w(N+k) q^k from the envelope |a_{N+k}| <= |a_N| q^k,
+    0 for an exact series and inf without an envelope (or with a_N = 0)."""
     if not isinstance(f, NormalizedSeries):
         raise ParameterError(f"expected NormalizedSeries, got {f!r}")
-    if not isinstance(p, ClassParams):
-        raise ParameterError(f"expected ClassParams, got {p!r}")
-    total = math.fsum(weight(n) * abs(c)
-                      for n, c in enumerate(f.coeffs, start=2))
-    tail = _weighted_tail_bound(f, weight)
-    return WeightedSum(total, tail, 1.0 - p.alpha)
+    p = _check_params(p)
+    lam, alpha = p.lam, p.alpha
+    if convex:
+        w = lambda n: n * (n * lam - lam + 1.0) * (n - alpha)
+    else:
+        w = lambda n: (n * lam - lam + 1.0) * (n - alpha)
+    total = math.fsum(w(n) * abs(c) for n, c in enumerate(f.coeffs, start=2))
+    tail = 0.0 if f.tail_bound == 0.0 else math.inf
+    base = abs(f.coeffs[-1]) if f.coeffs else 0.0
+    if tail == math.inf and f.tail_ratio is not None and base > 0.0:
+        d = _tail_weights(p, f.truncation_index, convex)
+        tail = _weighted_tail(base, f.tail_ratio, *d)
+    return WeightedSum(total, tail, 1.0 - alpha)
 
 
 def coefficient_sum_T(f: NormalizedSeries, p: ClassParams) -> WeightedSum:
@@ -252,14 +266,12 @@ def coefficient_sum_T(f: NormalizedSeries, p: ClassParams) -> WeightedSum:
     negative-coefficient series the comparison is necessary as well, so
     FAILS certifies non-membership there.
     """
-    w = lambda n: (n * p.lam - p.lam + 1.0) * (n - p.alpha)
-    return _coefficient_sum(f, p, w)
+    return _coefficient_sum(f, p, False)
 
 
 def coefficient_sum_L(f: NormalizedSeries, p: ClassParams) -> WeightedSum:
     """sum_{n>=2} n (n*lambda - lambda + 1)(n - alpha) |a_n| vs 1 - alpha."""
-    w = lambda n: n * (n * p.lam - p.lam + 1.0) * (n - p.alpha)
-    return _coefficient_sum(f, p, w)
+    return _coefficient_sum(f, p, True)
 
 
 def rtab_extremal_sequence(d: DixitPalParams, n_terms: int) -> NormalizedSeries:
@@ -272,13 +284,9 @@ def rtab_extremal_sequence(d: DixitPalParams, n_terms: int) -> NormalizedSeries:
     """
     if not isinstance(d, DixitPalParams):
         raise ParameterError(f"expected DixitPalParams, got {d!r}")
-    if n_terms < 1:
-        raise ParameterError(f"n_terms must be >= 1, got {n_terms}")
+    n_terms = _check_index(n_terms, "n_terms", 1)
     scale = (d.a - d.b) * d.tau_abs
     return NormalizedSeries(tuple(scale / n for n in range(2, n_terms + 1)))
-
-
-_SIGN_TOKENS = {c.value: c for c in SignConvention}
 
 
 def write_series(path, f: NormalizedSeries) -> None:
@@ -300,52 +308,46 @@ def read_series(path) -> NormalizedSeries:
     """Parse a coefficient list written by `write_series` (or by hand).
 
     Data lines are "<index> <coefficient>" with indices >= 2 strictly
-    increasing; gaps are filled with zeros.  Header comments may set
-    ``sign``, ``tail_bound`` and ``tail_ratio``.
+    increasing and finite coefficients; gaps are filled with zeros.  Header
+    comments may set ``sign``, ``tail_bound`` (not NaN) and ``tail_ratio``.
+    A malformed line raises SeriesFormatError naming ``path:line``.
     """
-    sign = SignConvention.GENERAL
-    tail_bound = 0.0
-    tail_ratio = None
+    head = {"sign": SignConvention.GENERAL, "tail_bound": 0.0, "tail_ratio": None}
     coeffs: list[float] = []
-    last_n = 1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, val = body.partition(":")
-                    key = key.strip().lower()
-                    val = val.strip()
-                    if key == "sign":
-                        if val not in _SIGN_TOKENS:
-                            raise SeriesFormatError(
-                                f"{path}:{lineno}: unknown sign convention {val!r}"
-                            )
-                        sign = _SIGN_TOKENS[val]
-                    elif key == "tail_bound":
-                        tail_bound = float(val)
-                    elif key == "tail_ratio":
-                        tail_ratio = None if val == "none" else float(val)
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise SeriesFormatError(
-                    f"{path}:{lineno}: expected '<index> <value>', got {line!r}"
-                )
             try:
-                n = int(parts[0])
-                value = float(parts[1])
+                _read_line(raw.strip(), head, coeffs)
             except ValueError as exc:
                 raise SeriesFormatError(f"{path}:{lineno}: {exc}") from exc
-            if n <= last_n:
-                raise SeriesFormatError(
-                    f"{path}:{lineno}: indices must be strictly increasing "
-                    f"and >= 2, got {n} after {last_n}"
-                )
-            coeffs.extend(0.0 for _ in range(n - last_n - 1))
-            coeffs.append(value)
-            last_n = n
-    return NormalizedSeries(tuple(coeffs), sign, tail_bound, tail_ratio)
+    return NormalizedSeries(tuple(coeffs), **head)
+
+
+def _read_line(line: str, head: dict, coeffs: list) -> None:
+    """Apply one line of a series file to ``head`` or ``coeffs``."""
+    if line.startswith("#"):
+        key, colon, val = line[1:].partition(":")
+        key, val = key.strip().lower(), val.strip()
+        if colon and key == "sign":
+            head["sign"] = SignConvention(val)
+        elif colon and key == "tail_bound":
+            head["tail_bound"] = float(val)
+            if math.isnan(head["tail_bound"]):
+                raise ValueError("tail_bound must not be NaN")
+        elif colon and key == "tail_ratio":
+            head["tail_ratio"] = None if val == "none" else float(val)
+        return
+    parts = line.split()
+    if not parts:
+        return
+    if len(parts) != 2:
+        raise ValueError(f"expected '<index> <value>', got {line!r}")
+    n, value = int(parts[0]), float(parts[1])
+    if not math.isfinite(value):
+        raise ValueError(f"coefficient must be finite, got {parts[1]!r}")
+    last_n = len(coeffs) + 1
+    if n <= last_n:
+        raise ValueError(f"indices must be strictly increasing and >= 2, "
+                         f"got {n} after {last_n}")
+    coeffs.extend(0.0 for _ in range(n - last_n - 1))
+    coeffs.append(value)

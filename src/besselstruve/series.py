@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from ._backend import kernels
+from . import _pykernels as kernels
 from .errors import DomainError, ParameterError
 
 __all__ = [
@@ -81,6 +81,15 @@ def _as_order(nu) -> KernelOrder:
     if isinstance(nu, KernelOrder):
         return nu
     return KernelOrder(nu)
+
+
+def _operator_order(nu) -> KernelOrder:
+    """`_as_order`, restricted to the range nu > -1/2 of `operator_valid`."""
+    order = _as_order(nu)
+    if not order.operator_valid:
+        raise DomainError(
+            f"criteria and operators require nu > -1/2, got nu={order.nu}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -159,13 +168,13 @@ def log_kernel_coefficient(nu, n: int) -> float:
             - math.lgamma(h + order.nu + 1.0))
 
 
-def _check_index(n) -> int:
+def _check_index(n, name: str = "coefficient index", low: int = 0) -> int:
     if isinstance(n, float) and n.is_integer():
         n = int(n)
     if not isinstance(n, int) or isinstance(n, bool):
-        raise ParameterError(f"coefficient index must be an integer, got {n!r}")
-    if n < 0:
-        raise ParameterError(f"coefficient index must be >= 0, got {n}")
+        raise ParameterError(f"{name} must be an integer, got {n!r}")
+    if n < low:
+        raise ParameterError(f"{name} must be >= {low}, got {n}")
     return n
 
 
@@ -203,35 +212,37 @@ def _tail_envelope(vals, start):
     return q, q < _RATIO_CAP
 
 
-def _weighted_tail(c_n: float, n: int, q: float, power: int) -> float:
-    """Upper bound for sum_{k>=1} (n+k+1)^power * c_{n+k} given the envelope q.
+def _power_weights(n: int, power: int):
+    """Coefficients in powers of k of the moment weight (n+1+k)^power.
 
-    The +1 in the weight covers the moment sums, whose index runs one ahead
-    of the coefficient index (n^k * c_{n-1}).  With a = n+1 and c_{n+k} <=
-    c_n q^k the bound is the closed form c_n * sum_j C(power, j) a^(power-j)
-    * sum_{k>=1} k^j q^k, for power 0..3, using sum k^j q^k = q/(1-q),
-    q/(1-q)^2, q(1+q)/(1-q)^3 and q(1+4q+q^2)/(1-q)^4, in nested form with
-    u = 1/(1-q).  Every term is positive, and the value passes through at
-    most 24 roundings of relative size 2^-53 (< 3e-15 in all), so the factor
-    _TAIL_ROUND_UP makes it a strict upper bound; the final 5e-324 covers a
-    product that underflows.
+    The +1 covers the moment sums, whose index runs one ahead of the
+    coefficient index (n^k * c_{n-1}).  The values are exact integers.
+    """
+    a = n + 1
+    if power == 3:
+        return a * a * a, 3 * a * a, 3 * a, 1
+    if 0 <= power <= 2:
+        return ((1,), (a, 1), (a * a, 2 * a, 1))[power]
+    raise ValueError(f"tail weight power must be 0..3, got {power}")
+
+
+def _weighted_tail(c: float, q: float, d0, d1=0.0, d2=0.0, d3=0.0) -> float:
+    """Upper bound for c * sum_{k>=1} P(k) q^k, P(k) = d0 + d1 k + d2 k^2 + d3 k^3.
+
+    The package's one geometric tail majorant: terms c q^k past an index N,
+    weighted by P(k) at N+k with coefficients d_j >= 0.  It uses sum k^j q^k
+    = q/(1-q), q/(1-q)^2, q(1+q)/(1-q)^3 and q(1+4q+q^2)/(1-q)^4, nested in
+    u = 1/(1-q).  Every term is positive and passes through at most 22
+    roundings of 2^-53 beyond those in c and the d_j, which callers keep
+    below 8 (< 3.4e-15 in all), so _TAIL_ROUND_UP makes it a strict upper
+    bound; the final 5e-324 covers a product that underflows.  q <= 0 means
+    no tail.
     """
     if q <= 0.0:
         return 0.0
-    a = float(n + 1)
     u = 1.0 / (1.0 - q)
-    if power == 0:
-        s = 1.0
-    elif power == 1:
-        s = a + u
-    elif power == 2:
-        s = a * a + u * (2.0 * a + u * (1.0 + q))
-    elif power == 3:
-        s = a * a * a + u * (3.0 * a * a + u * (
-            3.0 * a * (1.0 + q) + u * (1.0 + q * (4.0 + q))))
-    else:
-        raise ValueError(f"tail weight power must be 0..3, got {power}")
-    return c_n * (q * u * s) * _TAIL_ROUND_UP + 5e-324
+    s = d0 + u * (d1 + u * (d2 * (1.0 + q) + u * d3 * (1.0 + q * (4.0 + q))))
+    return c * (q * u * s) * _TAIL_ROUND_UP + 5e-324
 
 
 def _truncated_table(nu: float, tol: float, power: int):
@@ -260,7 +271,7 @@ def _truncated_table(nu: float, tol: float, power: int):
                 q = r1 if r1 > r0 else r0
                 if q >= _RATIO_CAP or c0 * q * float(n + 2) ** power > tol:
                     continue
-            tail = _weighted_tail(c0, n, q, power)
+            tail = _weighted_tail(c0, q, *_power_weights(n, power))
             if tail <= tol:
                 return vals[: n + 1], tail, q
         if size >= _MAX_TERMS:
@@ -280,8 +291,8 @@ def _cached_table(nu: float, tol: float, power: int):
 def coefficient_sequence(nu, tol: float = 1e-12) -> CoefficientSequence:
     """Adaptively truncated coefficient table with tail bound <= tol.
 
-    The truncation index N is the first one where the geometric majorant
-    c_N * q/(1-q) (q from `_tail_envelope`) drops below ``tol``.
+    The truncation index N is the first one where the `_weighted_tail`
+    majorant of sum_{n>N} c_n (q from `_tail_envelope`) drops below ``tol``.
     """
     order = _as_order(nu)
     tol = _check_tol(tol)
@@ -330,7 +341,7 @@ def _table_for_radius(nu: float, tol: float, radius: float):
                 continue
             q, ok = _tail_envelope(vals, n)
             qr = q * radius
-            if ok and qr < 1.0 and term * qr / (1.0 - qr) <= tol:
+            if ok and qr < 1.0 and _weighted_tail(term, qr, 1.0) <= tol:
                 return vals[: n + 1]
         if size >= _MAX_TERMS:
             raise RuntimeError(

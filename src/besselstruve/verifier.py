@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from ._backend import kernels
+from . import _pykernels as kernels
 from .criteria import (ClassParams, ConditionForm, DixitPalParams, jnu_condition,
                        l_condition, qnu_condition, t_condition)
 from .errors import DenominatorDegeneracyError, DomainError, ParameterError

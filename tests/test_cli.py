@@ -269,6 +269,11 @@ class TestParser:
         capsys.readouterr()
 
 
+# series files with a bad value, written for `TestErrorPaths`
+_BAD_SERIES = {"nan_coeff": "2 0.5\n3 nan\n", "inf_coeff": "2 inf\n",
+               "nan_tail": "# tail_bound: nan\n2 0.1\n"}
+
+
 class TestErrorPaths:
     """One row per error path: exit code 2, nothing on stdout and exactly one
     stderr line with the given start."""
@@ -302,13 +307,22 @@ class TestErrorPaths:
         (("eval", "--nu=-0.999999", "--z", "0.5"),
          "error: moments at nu=-0.999999 cannot reach tol=1e-12: the "
          "reachable accuracy is the identity residual "),
+        (("check", "t", "--series-file", "{nan_coeff}"),
+         "error: {nan_coeff}:2: coefficient must be finite, got 'nan'"),
+        (("check", "l", "--series-file", "{inf_coeff}"),
+         "error: {inf_coeff}:1: coefficient must be finite, got 'inf'"),
+        (("check", "t", "--series-file", "{nan_tail}"),
+         "error: {nan_tail}:1: tail_bound must not be NaN"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, argv, first_words):
-        missing = str(tmp_path / "missing.txt")
-        argv = [a.format(missing=missing) for a in argv]
+        paths = {"missing": str(tmp_path / "missing.txt")}
+        for name, text in _BAD_SERIES.items():
+            paths[name] = str(tmp_path / f"{name}.txt")
+            (tmp_path / f"{name}.txt").write_text(text)
+        argv = [a.format(**paths) for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith(first_words.format(missing=missing))
+        assert err.startswith(first_words.format(**paths))
         assert err.count("\n") == 1 and err.endswith("\n")
 
 

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselstruve import (ClassParams, ConditionForm, DixitPalParams,
                           DomainError, InconclusiveError, NormalizedSeries,
@@ -13,8 +15,9 @@ from besselstruve import (ClassParams, ConditionForm, DixitPalParams,
                           jnu_condition, kernel_series, phi_series, q_operator,
                           read_series, rtab_extremal_sequence, t_condition,
                           write_series)
+from besselstruve import _pykernels as kernels
 
-from conftest import NU_GRID
+from conftest import NU_GRID, mp_class_weight, mp_weighted_tail
 
 OPERATOR_GRID = tuple(nu for nu in NU_GRID if nu > -0.5)
 
@@ -99,6 +102,46 @@ class TestHadamard:
         assert out.tail_bound == pytest.approx(1e-7, rel=1e-15)
         assert out.tail_ratio == 0.125
 
+    def test_longer_exact_input_keeps_the_shorter_tail(self):
+        # the kernel series stops at N = 4 with a tail; the extremal series
+        # is exact to N = 80, so the product has a tail of its own.  A tail
+        # of tail(f)*tail(g) = 0 made this sum HOLDS; at tol 1e-14 the same
+        # sum is 0.70164 > 0.7
+        d = DixitPalParams(0.7, -0.4, 1.3)
+        f = bessel_struve_transform(13.55, rtab_extremal_sequence(d, 80), 1e-3)
+        assert f.tail_bound > 0.0 and f.tail_ratio is not None
+        p = ClassParams(0.5, 0.3)
+        assert coefficient_sum_L(f, p).outcome is not Outcome.HOLDS
+        fine = bessel_struve_transform(13.55, rtab_extremal_sequence(d, 80), 1e-14)
+        assert coefficient_sum_L(fine, p).outcome is Outcome.FAILS
+
+    @pytest.mark.parametrize("nu, tol", ((0.5, 1e-3), (2.0, 1e-6), (13.55, 1e-3)))
+    def test_unequal_truncations_certify_the_product(self, nu, tol):
+        # against the product of the extremal series with a long kernel table
+        g = rtab_extremal_sequence(DixitPalParams(0.7, -0.4, 1.3), 60)
+        c = kernels.coefficient_table(nu, 80)
+        true = [c[m - 1] * g.coeffs[m - 2] for m in range(2, 61)]  # m = 2..60
+        for f, h in ((kernel_series(nu, tol), g), (g, kernel_series(nu, tol))):
+            out = hadamard(f, h)
+            n = out.truncation_index
+            assert math.fsum(true[n - 1:]) <= out.tail_bound
+            for m in range(n, 60):
+                assert true[m - 1] <= out.tail_ratio * true[m - 2]
+
+    def test_unequal_truncations_without_envelope(self):
+        # an inexact longer input without a ratio, or a stored zero past
+        # the shorter truncation, leaves the product without an envelope
+        f = NormalizedSeries((0.5,), tail_bound=1e-3, tail_ratio=0.5)
+        assert hadamard(f, NormalizedSeries((0.5, 0.25), tail_bound=1e-4)
+                        ).tail_ratio is None
+        out = hadamard(f, NormalizedSeries((0.5, 0.0, 0.1)))
+        assert out.tail_ratio is None
+        assert out.tail_bound == pytest.approx(1e-4, rel=1e-15)
+        # an exact shorter input makes the product exact
+        exact = NormalizedSeries((0.5,))
+        assert hadamard(exact, ones_series(9)).tail_bound == 0.0
+        assert hadamard(ones_series(9), exact).tail_bound == 0.0
+
 
 class TestBesselStruveTransform:
     def test_identity_series_gives_kernel(self):
@@ -159,8 +202,43 @@ class TestQOperator:
         with pytest.raises(DomainError):
             q_operator(-0.5, 10)
 
+    @pytest.mark.parametrize("n_terms", (12.5, True, "12", 0, -3))
+    def test_n_terms_must_be_a_positive_integer(self, n_terms):
+        with pytest.raises(ParameterError, match="n_terms must be"):
+            q_operator(1.0, n_terms)
+
+    def test_integral_float_n_terms_accepted(self):
+        assert q_operator(1.0, 12.0) == q_operator(1.0, 12)
+
+    def test_tail_bounds_the_dropped_coefficients(self):
+        for nu in OPERATOR_GRID:
+            for n_terms in (1, 5, 12):
+                q = q_operator(nu, n_terms)
+                c = kernels.coefficient_table(nu, n_terms + 200)
+                rest = math.fsum(c[n - 1] / n
+                                 for n in range(n_terms + 1, n_terms + 200))
+                assert rest <= q.tail_bound
+
 
 class TestCoefficientSums:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(c=st.floats(math.log(1e-200), 0.0).map(math.exp),
+           n=st.integers(2, 2_000),
+           q=st.floats(0.01, 0.875, exclude_max=True),
+           lam=st.floats(0.0, 1.0, exclude_max=True),
+           alpha=st.floats(0.0, 1.0, exclude_max=True))
+    def test_tail_bound_covers_the_envelope_sum(self, c, n, q, lam, alpha):
+        # the dropped tail of a series whose last stored coefficient is c,
+        # with envelope ratio q: c * sum_{k>=1} w(n+k) q^k, at 60 digits
+        f = NormalizedSeries((0.0,) * (n - 2) + (c,), tail_bound=1.0,
+                             tail_ratio=q)
+        p = ClassParams(lam, alpha)
+        for convex, coefficient_sum in ((False, coefficient_sum_T),
+                                        (True, coefficient_sum_L)):
+            got = coefficient_sum(f, p).tail_bound
+            ref = mp_weighted_tail(c, q, mp_class_weight(lam, alpha, n, convex))
+            assert ref <= got <= ref * (1 + 1e-12)
+
     def test_single_term_closed_form(self):
         # f = z - b z^2 at lambda = 0: sum = (2 - alpha) b
         for alpha in (0.0, 0.4):
@@ -231,6 +309,11 @@ class TestExtremalSequence:
         assert max(abs(c) for c in f.coeffs) <= 1e-17
         assert abs(f.evaluate(0.9) - 0.9) <= 1e-15
 
+    @pytest.mark.parametrize("n_terms", (2.5, True, None, 0))
+    def test_n_terms_must_be_a_positive_integer(self, n_terms):
+        with pytest.raises(ParameterError, match="n_terms must be"):
+            rtab_extremal_sequence(DixitPalParams(1.0, -1.0, 1.0), n_terms)
+
     def test_theorem_chain_matches_condition_lhs(self):
         # the convolution bound evaluated at the extremal envelope equals
         # the closed-form lhs
@@ -272,4 +355,14 @@ class TestSeriesFiles:
             read_series(path)
         path.write_text("2 1.0 extra\n")
         with pytest.raises(SeriesFormatError):
+            read_series(path)
+
+    @pytest.mark.parametrize("text, line", (
+        ("2 0.5\n3 nan\n", 2), ("2 inf\n", 1), ("2 -inf\n", 1),
+        ("# tail_bound: nan\n2 0.5\n", 1), ("# tail_bound: tiny\n", 1),
+        ("# tail_ratio: half\n", 1)))
+    def test_rejects_bad_values_naming_the_line(self, tmp_path, text, line):
+        path = tmp_path / "bad3.txt"
+        path.write_text(text)
+        with pytest.raises(SeriesFormatError, match=f"^{path}:{line}: "):
             read_series(path)

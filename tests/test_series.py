@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselstruve import (CoefficientSequence, DomainError, KernelOrder,
-                          MomentSet, ParameterError, coefficient_sequence,
-                          eval_kernel, eval_normalized, eval_phi,
-                          highprec_sum_oracle, kernel_coefficient,
-                          log_kernel_coefficient, moments, series)
-from besselstruve._backend import kernels
+from besselstruve import (ClassParams, CoefficientSequence, DomainError,
+                          KernelOrder, MomentSet, ParameterError,
+                          coefficient_sequence, eval_kernel, eval_normalized,
+                          eval_phi, highprec_sum_oracle, kernel_coefficient,
+                          log_kernel_coefficient, moments, operators, series)
+from besselstruve import _pykernels as kernels
 
-from conftest import NU_GRID, disk_points
+from conftest import NU_GRID, disk_points, mp_class_weight, mp_weighted_tail
 
 _LN2 = math.log(2.0)
 
@@ -43,7 +43,8 @@ def _full_search(nu, tol, power):
             q, ok = series._tail_envelope(vals, n)
             if not ok:
                 continue
-            tail = series._weighted_tail(vals[n], n, q, power)
+            tail = series._weighted_tail(vals[n], q,
+                                         *series._power_weights(n, power))
             if tail <= tol:
                 return vals[: n + 1], tail, q
     raise AssertionError(f"no truncation for nu={nu}")
@@ -424,26 +425,6 @@ class TestLargeOrderAccuracy:
                                    abs=1e-15)
 
 
-def _mp_weighted_tail(c_n, n, q, power):
-    """c_n * sum_{k>=1} (n+k+1)^power * q^k, summed term by term at 60 digits.
-
-    The term ratio q*((n+k+2)/(n+k+1))^power decreases in k, so once it is
-    r < 1 the rest is below the last term times r/(1-r)."""
-    import mpmath
-    with mpmath.workdps(60):
-        q = mpmath.mpf(q)
-        total = mpmath.mpf(0)
-        qk = mpmath.mpf(1)
-        for k in range(1, 100_000):
-            qk *= q
-            inc = qk * (n + k + 1) ** power
-            total += inc
-            r = q * mpmath.mpf(n + k + 2) ** power / mpmath.mpf(n + k + 1) ** power
-            if r < 1 and inc * r / (1 - r) < total * mpmath.mpf(10) ** -62:
-                return mpmath.mpf(c_n) * total
-    raise AssertionError("reference tail did not converge")
-
-
 class TestWeightedTail:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(c_n=st.floats(math.log(1e-200), 0.0).map(math.exp),
@@ -452,11 +433,25 @@ class TestWeightedTail:
            power=st.integers(0, 3))
     def test_closed_form_bounds_the_sum(self, c_n, n, q, power):
         # a strict upper bound, and tight to 1e-12
-        got = series._weighted_tail(c_n, n, q, power)
-        ref = _mp_weighted_tail(c_n, n, q, power)
+        got = series._weighted_tail(c_n, q, *series._power_weights(n, power))
+        ref = mp_weighted_tail(c_n, q, lambda k: (n + k + 1) ** power)
+        assert ref <= got <= ref * (1 + 1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(c=st.floats(math.log(1e-200), 0.0).map(math.exp),
+           n=st.integers(2, 2_000),
+           q=st.floats(0.01, 0.875, exclude_max=True),
+           lam=st.floats(0.0, 1.0, exclude_max=True),
+           alpha=st.floats(0.0, 1.0, exclude_max=True),
+           convex=st.booleans())
+    def test_class_weights_bound_the_sum(self, c, n, q, lam, alpha, convex):
+        # the T and L weights of the coefficient sums, expanded in k
+        p = ClassParams(lam, alpha)
+        got = series._weighted_tail(c, q, *operators._tail_weights(p, n, convex))
+        ref = mp_weighted_tail(c, q, mp_class_weight(lam, alpha, n, convex))
         assert ref <= got <= ref * (1 + 1e-12)
 
     def test_no_tail_without_envelope(self):
-        assert series._weighted_tail(0.5, 10, 0.0, 3) == 0.0
+        assert series._weighted_tail(0.5, 0.0, *series._power_weights(10, 3)) == 0.0
         with pytest.raises(ValueError):
-            series._weighted_tail(0.5, 10, 0.5, 4)
+            series._weighted_tail(0.5, 0.5, *series._power_weights(10, 4))
