@@ -51,7 +51,9 @@ class NormalizedSeries:
     """Truncated normalized series; ``coeffs`` holds a_2..a_N.
 
     f(0) = 0 and f'(0) = 1 are implicit (a_1 = 1 is not stored).  With the
-    NEGATIVE convention the stored values are magnitudes b_n >= 0.
+    NEGATIVE convention the stored values are magnitudes b_n >= 0.  Every
+    coefficient must be finite and ``tail_bound`` must be >= 0 (inf means
+    no bound); anything else raises ParameterError.
     """
 
     coeffs: tuple[float, ...]
@@ -61,12 +63,14 @@ class NormalizedSeries:
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
+        if not all(map(math.isfinite, coeffs)):
+            raise ParameterError("coefficients must be finite")
         if self.sign is SignConvention.NEGATIVE and any(c < 0.0 for c in coeffs):
             raise ParameterError(
                 "negative-coefficient series stores magnitudes, got a value < 0"
             )
-        if self.tail_bound < 0.0:
-            raise ParameterError("tail_bound must be >= 0")
+        if not self.tail_bound >= 0.0:
+            raise ParameterError(f"tail_bound must be >= 0, got {self.tail_bound!r}")
         if self.tail_ratio is not None and not (0.0 <= self.tail_ratio < 1.0):
             raise ParameterError("tail_ratio must lie in [0, 1) when given")
         object.__setattr__(self, "coeffs", coeffs)
@@ -106,7 +110,7 @@ def hadamard(f: NormalizedSeries, g: NormalizedSeries) -> NormalizedSeries:
     if len(prod) < len(g.coeffs):
         tail, ratio = _product_certificate(f, g)
     else:
-        tail = f.tail_bound * g.tail_bound
+        tail = f.tail_bound * g.tail_bound if f.tail_bound and g.tail_bound else 0.0
         ratio = (None if None in (f.tail_ratio, g.tail_ratio)
                  else f.tail_ratio * g.tail_ratio)
     # keep the magnitude representation when exactly one factor is negative

@@ -13,8 +13,8 @@ normalization f(0) = 0, f'(0) = 1:
 
 Every membership criterion downstream is a linear form in the values
 S_nu(1), S'_nu(1), S''_nu(1), S'''_nu(1), or equivalently in the weighted
-sums sum_{n>=2} n^k c_{n-1}(nu); ``moments`` computes both families
-termwise so the linking identities stay checkable.
+sums sum_{n>=2} n^k c_{n-1}(nu); ``moments`` sums the derivative values and
+m_0 termwise and takes m_1..m_3 from them by exact identities.
 """
 
 from __future__ import annotations
@@ -116,10 +116,10 @@ class CoefficientSequence:
 class MomentSet:
     """Weighted coefficient sums and kernel derivative values at z = 1.
 
-    m_k = sum_{n>=2} n^k c_{n-1}(nu) and s_k = d^k/dz^k S_nu(z) at z = 1,
-    both computed termwise from one coefficient table.  The two families are
-    linked by exact identities (e.g. m0 = s0 - 1); `identity_residuals`
-    exposes the four residuals so callers and tests can audit them.
+    m_k = sum_{n>=2} n^k c_{n-1}(nu) and s_k = d^k/dz^k S_nu(z) at z = 1.
+    s_0..s_3 and m_0 = s_0 - 1 are summed termwise from one coefficient
+    table; the other m_k follow from n^k in falling factorials:
+    m_1 = s_1 + m_0, m_2 = s_2 + 3 s_1 + m_0, m_3 = s_3 + 6 s_2 + 7 s_1 + m_0.
     """
 
     m0: float
@@ -131,14 +131,6 @@ class MomentSet:
     s2: float
     s3: float
     tol: float
-
-    def identity_residuals(self) -> tuple[float, float, float, float]:
-        return (
-            self.m0 - (self.s0 - 1.0),
-            self.m1 - (self.s1 + self.s0 - 1.0),
-            self.m2 - (self.s2 + 3.0 * self.s1 + self.s0 - 1.0),
-            self.m3 - (self.s3 + 6.0 * self.s2 + 7.0 * self.s1 + self.s0 - 1.0),
-        )
 
 
 def _check_tol(tol: float) -> float:
@@ -305,8 +297,10 @@ def eval_kernel(nu, z, tol: float = 1e-12) -> complex:
 
     S_nu(0) = 1 exactly.  Points outside the closed unit disk are evaluated
     with the truncation extended until the |z|-rescaled tail majorant meets
-    the same tolerance (possible for any z since the series is entire).
-    A non-finite z raises ParameterError.
+    the same tolerance, or falls below 2^-53 * S_nu(|z|) where the
+    coefficients underflow (see `_table_for_radius`).  Past that, from
+    |z| ~ 90 for moderate nu, and for a non-finite z, ParameterError is
+    raised.
     """
     order = _as_order(nu)
     tol = _check_tol(tol)
@@ -325,28 +319,45 @@ def eval_kernel(nu, z, tol: float = 1e-12) -> complex:
 def _table_for_radius(nu: float, tol: float, radius: float):
     """Smallest table whose |z|-rescaled tail majorant is below tol.
 
-    Grows and resumes like `_truncated_table`; the running term
-    c_n * radius^n carries over each doubling.
+    The terms t_n = c_n * radius^n run on their own recurrence
+    t_{n+2} = t_n * radius^2 / ((n+2)(n+2+2nu)) from t_0 = 1 and
+    t_1 = c_1 * radius, so they stay finite where c_n underflows; the two
+    ratios at n bound the dropped tail as in `_tail_envelope`.  The table
+    doubles like `_truncated_table`'s.  Once its next entry underflows to
+    0.0 it holds no more terms: it is kept if the tail is below 2^-53 of the
+    kept terms' sum, where a double cannot resolve it, and otherwise
+    ParameterError is raised, as it is when a term or the sum overflows.
     """
-    size, start = _FIRST_SIZE, 1
-    term = 1.0  # c_0 * radius^0
-    while True:
-        vals = kernels.coefficient_table(nu, min(size, _MAX_TERMS + 2))
-        for n in range(start, len(vals) - 2):
-            if vals[n - 1] > 0.0:
-                term *= radius * vals[n] / vals[n - 1]
-            else:
-                term = 0.0
-            if n < 2:
-                continue
-            q, ok = _tail_envelope(vals, n)
-            qr = q * radius
-            if ok and qr < 1.0 and _weighted_tail(term, qr, 1.0) <= tol:
+    r2 = radius * radius
+    two_nu = 2.0 * nu
+    size = _FIRST_SIZE
+    vals = kernels.coefficient_table(nu, size)
+    terms = [1.0, vals[1] * radius]
+    total = 1.0 + terms[1]
+    for n in range(2, _MAX_TERMS + 1):
+        if n + 1 >= len(vals):
+            size *= 2
+            vals = kernels.coefficient_table(nu, min(size, _MAX_TERMS + 2))
+        for k in range(len(terms), n + 3):
+            terms.append(terms[k - 2] * r2 / (k * (k + two_nu)))
+        t, t1, t2 = terms[n], terms[n + 1], terms[n + 2]
+        total += t
+        if not max(t1, t2, total) < math.inf:
+            raise ParameterError(
+                f"S_nu at |z|={radius!r} (nu={nu!r}) overflows a double")
+        q = max(t1 / t, t2 / t1) if t > 0.0 and t1 > 0.0 else 0.0
+        tail = _weighted_tail(t, q, 1.0) if q < 1.0 else math.inf
+        if tail <= tol:
+            return vals[: n + 1]
+        if vals[n + 1] <= 0.0:
+            if tail <= 2.0 ** -53 * total:
                 return vals[: n + 1]
-        if size >= _MAX_TERMS:
-            raise RuntimeError(
-                f"series truncation for |z|={radius} exceeded {_MAX_TERMS} terms")
-        size, start = 2 * size, len(vals) - 2
+            raise ParameterError(
+                f"S_nu at |z|={radius!r} (nu={nu!r}) cannot reach tol={tol!r}: "
+                f"the coefficients underflow while the dropped tail is "
+                f"{tail:.3e}, above 2^-53 of the sum {total:.3e}")
+    raise RuntimeError(
+        f"series truncation for |z|={radius} exceeded {_MAX_TERMS} terms")
 
 
 def eval_normalized(nu, z, tol: float = 1e-12) -> complex:
@@ -363,47 +374,45 @@ def eval_phi(nu, z, tol: float = 1e-12) -> complex:
 
 @lru_cache(maxsize=None)
 def _moment_weights(bits: int):
-    """Integer weights of m0..m3 and s1..s3 for table indices 0..2**bits - 1.
+    """Integer weights of s1..s3 for table indices 0..2**bits - 1.
 
-    Index m carries the integer factor each termwise sum multiplies c_m by
-    (0 where that sum starts later), so each int * float product is the
-    termwise one bit for bit.  `map` stops at the table's end, and fsum is
-    exact in any order, so the sums equal the termwise ones.
+    Index m carries the falling factorial m(m-1)...(m-k+1) that s_k
+    multiplies c_m by, so each int * float product is the termwise one bit
+    for bit.  `map` stops at the table's end, and fsum is exact in any
+    order, so the sums equal the termwise ones.
     """
-    ms = range(1, 1 << bits)
+    ms = range(1 << bits)
     return (
-        (0, *(1 for m in ms)),
-        (0, *(m + 1 for m in ms)),
-        (0, *((m + 1) ** 2 for m in ms)),
-        (0, *((m + 1) ** 3 for m in ms)),
-        (0, *ms),
-        (0, *(m * (m - 1) for m in ms)),
-        (0, *(m * (m - 1) * (m - 2) for m in ms)),
+        tuple(ms),
+        tuple(m * (m - 1) for m in ms),
+        tuple(m * (m - 1) * (m - 2) for m in ms),
     )
 
 
 def moments(nu, tol: float = 1e-12) -> MomentSet:
-    """Termwise m_k and s_k values at z = 1, each accurate to tol.
+    """m_k and s_k values at z = 1, each with truncation error <= tol.
 
-    The truncation is chosen so even the n^3-weighted tail is below tol.
-    The four m/s linking identities are verified to 10*tol before returning;
-    a tol below the accuracy that double rounding reaches at this nu (the
-    identity residual) raises ParameterError.
+    The truncation is chosen so even the (n+1)^3-weighted tail, that of m_3,
+    is below tol.  s_0..s_3 and m_0 are exact sums of the table entries
+    times integers, rounded once; m_1..m_3 add them with positive integer
+    weights (see `MomentSet`), so nothing cancels.  No double near the
+    largest value, max(s0, m3), resolves a tol below its ulp: such a tol
+    raises ParameterError.
     """
     order = _as_order(nu)
     tol = _check_tol(tol)
     vals, _, _ = _cached_table(order.nu, tol, 3)
     fsum = math.fsum
-    w_m0, w_m1, w_m2, w_m3, w_s1, w_s2, w_s3 = _moment_weights(len(vals).bit_length())
-    out = MomentSet(
-        fsum(map(mul, w_m0, vals)), fsum(map(mul, w_m1, vals)),
-        fsum(map(mul, w_m2, vals)), fsum(map(mul, w_m3, vals)),
-        fsum(vals), fsum(map(mul, w_s1, vals)),
-        fsum(map(mul, w_s2, vals)), fsum(map(mul, w_s3, vals)), tol)
-    worst = max(abs(r) for r in out.identity_residuals())
-    if worst > 10.0 * tol:
+    w1, w2, w3 = _moment_weights(len(vals).bit_length())
+    s0 = fsum(vals)
+    s1 = fsum(map(mul, w1, vals))
+    s2 = fsum(map(mul, w2, vals))
+    s3 = fsum(map(mul, w3, vals))
+    m0 = fsum(vals[1:])
+    m3 = s3 + 6.0 * s2 + 7.0 * s1 + m0
+    top = max(s0, m3)
+    if math.ulp(top) > tol:
         raise ParameterError(
-            f"moments at nu={order.nu!r} cannot reach tol={tol!r}: the reachable "
-            f"accuracy is the identity residual {worst:.3e} (> 10*tol)"
-        )
-    return out
+            f"moments at nu={order.nu!r} cannot reach tol={tol!r}: the largest "
+            f"value {top:.6g} is resolved only to its ulp {math.ulp(top):.3e}")
+    return MomentSet(m0, s1 + m0, s2 + 3.0 * s1 + m0, m3, s0, s1, s2, s3, tol)

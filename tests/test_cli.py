@@ -302,17 +302,19 @@ class TestErrorPaths:
         (("eval", "--nu", "1", "--z", "inf"),
          "error: z must be finite, got (inf+0j)"),
         (("eval", "--nu", "1", "--z", "0.5", "--tol", "1e-17"),
-         "error: moments at nu=1.0 cannot reach tol=1e-17: the reachable "
-         "accuracy is the identity residual "),
+         "error: moments at nu=1.0 cannot reach tol=1e-17: the largest "
+         "value 9.45172 is resolved only to its ulp 1.776e-15"),
         (("eval", "--nu=-0.999999", "--z", "0.5"),
          "error: moments at nu=-0.999999 cannot reach tol=1e-12: the "
-         "reachable accuracy is the identity residual "),
+         "largest value "),
         (("check", "t", "--series-file", "{nan_coeff}"),
          "error: {nan_coeff}:2: coefficient must be finite, got 'nan'"),
         (("check", "l", "--series-file", "{inf_coeff}"),
          "error: {inf_coeff}:1: coefficient must be finite, got 'inf'"),
         (("check", "t", "--series-file", "{nan_tail}"),
          "error: {nan_tail}:1: tail_bound must not be NaN"),
+        (("eval", "--nu", "1", "--z", "1e300"),
+         "error: S_nu at |z|=1e+300 (nu=1.0) overflows a double"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, argv, first_words):
         paths = {"missing": str(tmp_path / "missing.txt")}

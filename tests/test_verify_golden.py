@@ -2,8 +2,12 @@
 
 The files under ``tests/data/`` were written by ``verify`` once the
 coefficient table came from the exact two-term recurrence, which moved only
-printed residual and diff digits; later changes must leave the output
-unchanged.  A golden file can be reproduced with
+printed residual and diff digits.  The "moment identities" lines were
+rewritten once more when they began to print the residuals of the kernel
+ODE at z = 1 and the contiguous relation in nu, which replaced the
+rounding residuals between two termwise moment families; no other line
+moved.  Later changes must leave the output unchanged.  A golden file can
+be reproduced with
 ``besselstruve verify --seed <s> > tests/data/verify_seed<s>.txt``.
 """
 
