@@ -22,7 +22,8 @@ from typing import Optional
 from . import __version__
 from ._pykernels import backend_name
 from .criteria import (CONDITION_NAMES, ClassParams, ConditionForm,
-                       DixitPalParams, _evaluate, _rule, critical_nu)
+                       DixitPalParams, _evaluate, _lhs_slab, _rule, _scale,
+                       critical_nu)
 from .errors import (BesselStruveError, BracketError, DomainError,
                      InconclusiveError, ParameterError)
 from .operators import (Outcome, coefficient_sum_L, coefficient_sum_T,
@@ -78,7 +79,11 @@ def _load_config(path: Optional[str]) -> dict:
                 if key not in _CONFIG_KEYS:
                     raise ParameterError(
                         f"{path}:{lineno}: unknown config key {key!r}")
-                cfg[key] = _CONFIG_KEYS[key](val.strip())
+                try:
+                    cfg[key] = _CONFIG_KEYS[key](val.strip())
+                except ValueError as exc:
+                    raise ParameterError(
+                        f"{path}:{lineno}: bad {key} value: {exc}") from exc
     except OSError as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
     return cfg
@@ -112,8 +117,7 @@ def _dixit_pal(args) -> Optional[DixitPalParams]:
     """The --A/--B/--tau-abs triple, or None; required by conditions on it."""
     given = [args.A is not None, args.B is not None, args.tau_abs is not None]
     if not any(given):
-        _, _, _, needed = _rule(args.condition)
-        if needed:
+        if _rule(args.condition)[1].dixit_pal:
             raise ParameterError(
                 f"condition {args.condition!r} needs --A, --B and --tau-abs")
         return None
@@ -208,31 +212,40 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    """Moments once per nu; parameters, rhs and their text once per (lambda,
-    alpha); only lhs and margin are computed and formatted (as `_fmt` does)
-    per row."""
+    """The grids are checked once; weights once per (lambda, alpha) cell and
+    rhs and its text once per alpha; then `_lhs_slab` evaluates each
+    (lambda, alpha) slab from one `moments` call per nu, and only lhs and
+    margin are formatted (as `_fmt` does) per row."""
     cfg = _load_config(args.config)
     tol = _resolve(args, cfg, "tol")
-    form, lhs_of, rhs_of, _ = _rule(args.condition, ConditionForm(args.form))
-    extra = _dixit_pal(args)
+    form, rule = _rule(args.condition, ConditionForm(args.form))
+    scale = _scale(rule, _dixit_pal(args))
     nus = _parse_range(args.nu)
     alphas = _parse_range(args.alpha)
     lams = _parse_range(args.lam)
     _check_lambda(args.condition, lams)
-    alpha_text = [_fmt(alpha) for alpha in alphas]
+    # raises the first error a lambda-major sweep of every cell would
+    for alpha in alphas:
+        ClassParams(lams[0], alpha)
+    for lam in lams:
+        ClassParams(lam, alphas[0])
+    columns = []
+    for alpha in alphas:
+        rhs = rule.rhs(alpha)
+        columns.append((alpha, _fmt(alpha), rhs, f",{_fmt(rhs)},"))
+    weights = []
     cells = []
     for lam in lams:
         lam_text = _fmt(lam)
-        for alpha, a_text in zip(alphas, alpha_text):
-            p = ClassParams(lam, alpha)
-            rhs = rhs_of(p)
-            cells.append((p, rhs, f"{lam_text},{a_text},", f",{_fmt(rhs)},"))
+        for alpha, a_text, rhs, rhs_text in columns:
+            weights.append(rule.weights(lam, alpha))
+            cells.append((f"{lam_text},{a_text},", rhs, rhs_text))
     rows = ["condition,form,nu,lambda,alpha,lhs,rhs,margin,holds"]
     for nu in nus:
         s = moments(_operator_order(nu), tol)
         head = f"{args.condition},{form.value},{_fmt(nu)},"
-        for p, rhs, point, rhs_text in cells:
-            lhs = lhs_of(s, p, extra)
+        lhs_slab = _lhs_slab(s, weights, scale, rule.shift)
+        for lhs, (point, rhs, rhs_text) in zip(lhs_slab, cells):
             margin = rhs - lhs
             rows.append(f"{head}{point}{lhs:.17g}{rhs_text}{margin:.17g},"
                         f"{'true' if margin >= 0.0 else 'false'}")

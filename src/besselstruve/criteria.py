@@ -13,6 +13,22 @@ rhs - lhs covers every case:
 * ``qnu_condition`` -- necessary and sufficient for the negative-coefficient
   integral variant Q_nu.
 
+One table, ``_RULES``, holds every criterion as a linear form: for each
+(condition, form) a weight function (lambda, alpha) -> (w3, w2, w1, w0),
+the rhs as a function of alpha, a shift and a Dixit-Pal flag, with
+
+    lhs = scale * (((w3*s3 + w2*s2) + w1*s1) + w0*(s0 - shift)),
+
+scale = (A-B)|tau| for jnu (shift 1) and 1 otherwise (shift 0).  Each
+lhs is sum_m P(m) c_m for the polynomial P(m) = (m*lambda + 1)(m + 1 -
+alpha) of the coefficient test, times (m + 1) for the convex type; the
+weights are P in the falling-factorial basis, so every weight but the
+stated form's s1 weight is derived, not transcribed
+(``tests/test_criteria.py`` checks this exactly).
+`_lhs_slab` is the one implementation of the form: the public condition
+functions call it with a one-cell slab, ``scan`` with a whole (lambda,
+alpha) slab per nu.
+
 The starlike-type criterion circulates in two variants that differ in the
 coefficient multiplying S'_nu(1): re-deriving the bound from the coefficient
 inequality gives (1 - lambda*alpha + 2*lambda) ("proof" form), while the
@@ -27,7 +43,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import BracketError, MonotonicityError, ParameterError
 from .series import MomentSet, _operator_order, moments
@@ -120,65 +136,66 @@ def _check_params(p) -> ClassParams:
     return p
 
 
-# Left-hand sides lhs(s, p, d) over the moments s, the class parameters p and
-# the Dixit-Pal parameters d (None unless the condition needs them), and the
-# right-hand sides rhs(p).  Each expression keeps its documented operation
-# order, so every route through the table rounds identically.
+# Weights (w3, w2, w1, w0) of (s3, s2, s1, s0).  Each expression keeps the
+# operation order of its documented inequality, and `_lhs_slab` adds in that
+# order too, so the table rounds exactly as the written inequalities do: a
+# zero w3 adds an exact 0.0 (s3 is finite and w2*s2 >= 0), and scale 1.0 and
+# shift 0.0 are exact.
 
-def _t_proof_lhs(s: MomentSet, p: ClassParams, d) -> float:
-    return (p.lam * s.s2 + (1.0 + 2.0 * p.lam - p.lam * p.alpha) * s.s1
-            + (1.0 - p.alpha) * s.s0)
-
-
-def _t_stated_lhs(s: MomentSet, p: ClassParams, d) -> float:
-    return p.lam * s.s2 + (1.0 - p.lam * p.alpha) * s.s1 + (1.0 - p.alpha) * s.s0
+_Weights = tuple[float, float, float, float]
 
 
-def _l_lhs(s: MomentSet, p: ClassParams, d) -> float:
-    return (p.lam * s.s3
-            + (5.0 * p.lam + 1.0 - p.lam * p.alpha) * s.s2
-            + (4.0 * p.lam - 2.0 * p.lam * p.alpha - p.alpha + 3.0) * s.s1
-            + (1.0 - p.alpha) * s.s0)
+def _t_proof_weights(lam: float, alpha: float) -> _Weights:
+    return (0.0, lam, 1.0 + 2.0 * lam - lam * alpha, 1.0 - alpha)
 
 
-def _jnu_lhs(s: MomentSet, p: ClassParams, d: DixitPalParams) -> float:
-    scale = (d.a - d.b) * d.tau_abs
-    return scale * (p.lam * s.s2
-                    + (1.0 + 2.0 * p.lam - p.lam * p.alpha) * s.s1
-                    + (1.0 - p.alpha) * (s.s0 - 1.0))
+def _t_stated_weights(lam: float, alpha: float) -> _Weights:
+    return (0.0, lam, 1.0 - lam * alpha, 1.0 - alpha)
 
 
-def _qnu_lhs(s: MomentSet, p: ClassParams, d) -> float:
-    return (p.lam * s.s2
-            + (2.0 * p.lam - p.lam * p.alpha + 1.0) * s.s1
-            + (1.0 - p.alpha) * s.s0)
+def _l_weights(lam: float, alpha: float) -> _Weights:
+    return (lam, 5.0 * lam + 1.0 - lam * alpha,
+            4.0 * lam - 2.0 * lam * alpha - alpha + 3.0, 1.0 - alpha)
 
 
-def _rhs(p: ClassParams) -> float:
-    return 2.0 * (1.0 - p.alpha)
+def _qnu_weights(lam: float, alpha: float) -> _Weights:
+    return (0.0, lam, 2.0 * lam - lam * alpha + 1.0, 1.0 - alpha)
 
 
-def _jnu_rhs(p: ClassParams) -> float:
-    return 1.0 - p.alpha
+def _rhs(alpha: float) -> float:
+    return 2.0 * (1.0 - alpha)
+
+
+def _jnu_rhs(alpha: float) -> float:
+    return 1.0 - alpha
+
+
+class _Rule(NamedTuple):
+    """One linear criterion.  A Dixit-Pal rule scales its lhs by (A-B)|tau|."""
+
+    weights: Callable[[float, float], _Weights]
+    rhs: Callable[[float], float]
+    shift: float
+    dixit_pal: bool
 
 
 CONDITION_NAMES = ("t", "l", "starlike", "convex", "jnu", "qnu")
 
-# (condition, form) -> (lhs, rhs, needs DixitPalParams).  Only "t" has a
-# stated form; starlike and convex are the t and l forms at lambda = 0.
+# Only "t" has a stated form; starlike and convex are the t and l forms at
+# lambda = 0.  jnu sums over n >= 1 only, hence s0 - 1.
 _RULES = {
-    ("t", ConditionForm.PROOF): (_t_proof_lhs, _rhs, False),
-    ("t", ConditionForm.STATED): (_t_stated_lhs, _rhs, False),
-    ("l", ConditionForm.PROOF): (_l_lhs, _rhs, False),
-    ("starlike", ConditionForm.PROOF): (_t_proof_lhs, _rhs, False),
-    ("convex", ConditionForm.PROOF): (_l_lhs, _rhs, False),
-    ("jnu", ConditionForm.PROOF): (_jnu_lhs, _jnu_rhs, True),
-    ("qnu", ConditionForm.PROOF): (_qnu_lhs, _rhs, False),
+    ("t", ConditionForm.PROOF): _Rule(_t_proof_weights, _rhs, 0.0, False),
+    ("t", ConditionForm.STATED): _Rule(_t_stated_weights, _rhs, 0.0, False),
+    ("l", ConditionForm.PROOF): _Rule(_l_weights, _rhs, 0.0, False),
+    ("starlike", ConditionForm.PROOF): _Rule(_t_proof_weights, _rhs, 0.0, False),
+    ("convex", ConditionForm.PROOF): _Rule(_l_weights, _rhs, 0.0, False),
+    ("jnu", ConditionForm.PROOF): _Rule(_t_proof_weights, _jnu_rhs, 1.0, True),
+    ("qnu", ConditionForm.PROOF): _Rule(_qnu_weights, _rhs, 0.0, False),
 }
 
 
 def _rule(condition: str, form: ConditionForm = ConditionForm.PROOF):
-    """(verdict form, lhs, rhs, needs DixitPalParams) of a named condition.
+    """(verdict form, `_Rule`) of a named condition.
 
     Conditions without a stated form ignore ``form`` and report PROOF.
     """
@@ -190,24 +207,46 @@ def _rule(condition: str, form: ConditionForm = ConditionForm.PROOF):
         form = ConditionForm.PROOF
     elif not isinstance(form, ConditionForm):
         raise ParameterError(f"unknown condition form {form!r}")
-    return (form,) + _RULES[condition, form]
+    return form, _RULES[condition, form]
+
+
+def _scale(rule: _Rule, d) -> float:
+    """The lhs factor: (A-B)|tau| for a Dixit-Pal rule, else 1.0 (d ignored)."""
+    if not rule.dixit_pal:
+        return 1.0
+    if not isinstance(d, DixitPalParams):
+        raise ParameterError(f"expected DixitPalParams, got {d!r}")
+    return (d.a - d.b) * d.tau_abs
+
+
+def _lhs_slab(s: MomentSet, weights: list[_Weights], scale: float,
+              shift: float) -> list[float]:
+    """The lhs of every weight tuple in ``weights`` at the moments ``s``."""
+    s0, s1, s2, s3 = s.s0 - shift, s.s1, s.s2, s.s3
+    return [scale * (((w3 * s3 + w2 * s2) + w1 * s1) + w0 * s0)
+            for w3, w2, w1, w0 in weights]
+
+
+def _prepare(condition: str, p: ClassParams, d: Optional[DixitPalParams],
+             form: ConditionForm):
+    """(verdict form, one-cell weight slab, rhs, scale, shift) of a condition
+    at one (lambda, alpha); starlike and convex take lambda = 0, whatever
+    ``p.lam``."""
+    p = _check_params(p)
+    form, rule = _rule(condition, form)
+    scale = _scale(rule, d)
+    lam = 0.0 if condition in ("starlike", "convex") else p.lam
+    return (form, [rule.weights(lam, p.alpha)], rule.rhs(p.alpha), scale,
+            rule.shift)
 
 
 def _evaluate(condition: str, nu, p: ClassParams, d: Optional[DixitPalParams],
               form: ConditionForm, tol: float) -> MembershipVerdict:
-    """Verdict of a named condition at one point, from one `moments` call.
-
-    starlike and convex always evaluate at lambda = 0, whatever ``p.lam``.
-    """
+    """Verdict of a named condition at one point, from one `moments` call."""
     order = _operator_order(nu)
-    p = _check_params(p)
-    form, lhs, rhs, needs_dp = _rule(condition, form)
-    if needs_dp and not isinstance(d, DixitPalParams):
-        raise ParameterError(f"expected DixitPalParams, got {d!r}")
-    if condition in ("starlike", "convex"):
-        p = ClassParams(0.0, p.alpha)
-    s = moments(order, tol)
-    return _verdict(lhs(s, p, d), rhs(p), form)
+    form, cell, rhs, scale, shift = _prepare(condition, p, d, form)
+    lhs, = _lhs_slab(moments(order, tol), cell, scale, shift)
+    return _verdict(lhs, rhs, form)
 
 
 def t_condition(nu, p: ClassParams, form: ConditionForm = ConditionForm.PROOF,
@@ -275,16 +314,23 @@ def margin_function(condition: str, p: ClassParams,
                     extra: Optional[DixitPalParams] = None,
                     form: ConditionForm = ConditionForm.PROOF,
                     tol: float = 1e-12) -> Callable[[float], float]:
-    """margin(nu) for a named condition with all other parameters fixed."""
+    """margin(nu) for a named condition with all other parameters fixed.
+
+    The rule, its weights, rhs and scale are prepared once; each call costs
+    one `moments` and a one-cell `_lhs_slab`, and returns the margin of
+    `_evaluate` bit for bit.
+    """
     cond = condition.lower()
-    _, _, _, needs_dp = _rule(cond, form)
-    if needs_dp and extra is None:
+    _, rule = _rule(cond, form)
+    if rule.dixit_pal and extra is None:
         raise ParameterError(f"{cond} condition needs DixitPalParams")
-    if not needs_dp and extra is not None:
+    if not rule.dixit_pal and extra is not None:
         raise ParameterError(f"condition {cond!r} takes no DixitPalParams")
+    _, cell, rhs, scale, shift = _prepare(cond, p, extra, form)
 
     def margin(nu: float) -> float:
-        return _evaluate(cond, nu, p, extra, form, tol).margin
+        lhs, = _lhs_slab(moments(_operator_order(nu), tol), cell, scale, shift)
+        return rhs - lhs
 
     return margin
 

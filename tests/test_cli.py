@@ -270,8 +270,9 @@ class TestParser:
 
 
 # series files with a bad value, written for `TestErrorPaths`
-_BAD_SERIES = {"nan_coeff": "2 0.5\n3 nan\n", "inf_coeff": "2 inf\n",
-               "nan_tail": "# tail_bound: nan\n2 0.1\n"}
+_BAD_FILES = {"nan_coeff": "2 0.5\n3 nan\n", "inf_coeff": "2 inf\n",
+              "nan_tail": "# tail_bound: nan\n2 0.1\n",
+              "float_cfg": "# defaults\ntol = abc\n", "int_cfg": "points = 1.5\n"}
 
 
 class TestErrorPaths:
@@ -315,10 +316,27 @@ class TestErrorPaths:
          "error: {nan_tail}:1: tail_bound must not be NaN"),
         (("eval", "--nu", "1", "--z", "1e300"),
          "error: S_nu at |z|=1e+300 (nu=1.0) overflows a double"),
+        (("eval", "--nu", "1", "--z", "0.5", "--config", "{float_cfg}"),
+         "error: {float_cfg}:2: bad tol value: could not convert string to "
+         "float: 'abc'"),
+        (("eval", "--nu", "1", "--z", "0.5", "--config", "{int_cfg}"),
+         "error: {int_cfg}:1: bad points value: invalid literal for int()"),
+        (("scan", "t", "--nu", "1", "--lambda", "0:1.5:3", "--alpha", "0:1.2:2",
+          "--output", "{out}"),
+         "error: alpha must lie in [0, 1), got 1.2"),
+        (("scan", "t", "--nu", "1", "--lambda", "0:1.5:3", "--output", "{out}"),
+         "error: lambda must lie in [0, 1), got 1.5"),
+        (("scan", "l", "--nu", "1", "--lambda", "nan", "--output", "{out}"),
+         "error: lambda must lie in [0, 1), got nan"),
+        (("scan", "qnu", "--nu=-0.7:2:3", "--output", "{out}"),
+         "error: criteria and operators require nu > -1/2"),
+        (("scan", "jnu", "--nu", "1", "--output", "{out}"),
+         "error: condition 'jnu' needs --A, --B and --tau-abs"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, argv, first_words):
-        paths = {"missing": str(tmp_path / "missing.txt")}
-        for name, text in _BAD_SERIES.items():
+        paths = {"missing": str(tmp_path / "missing.txt"),
+                 "out": str(tmp_path / "out.csv")}
+        for name, text in _BAD_FILES.items():
             paths[name] = str(tmp_path / f"{name}.txt")
             (tmp_path / f"{name}.txt").write_text(text)
         argv = [a.format(**paths) for a in argv]
@@ -326,6 +344,7 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith(first_words.format(**paths))
         assert err.count("\n") == 1 and err.endswith("\n")
+        assert list(tmp_path.glob("out.csv*")) == []
 
 
 class TestLargeOrders:

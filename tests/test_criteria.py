@@ -7,6 +7,7 @@ nu* = 2.038180705161871804536379822414 for alpha = 0.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +19,8 @@ from besselstruve import (BracketError, ClassParams, ConditionForm,
                           highprec_sum_oracle, jnu_condition, l_condition,
                           moments, qnu_condition, starlike_condition,
                           t_condition)
-from besselstruve.criteria import _bisect_margin
+from besselstruve.criteria import (_RULES, _bisect_margin, _evaluate,
+                                   margin_function)
 
 from conftest import NU_GRID
 
@@ -203,11 +205,134 @@ class TestTermwiseConsistency:
                     pytest.approx(l_sum, abs=1e-10)
 
 
+# The per-condition lhs expressions the criteria table replaced, kept as the
+# reference the table must reproduce bit for bit.
+
+def _ref_t_proof(s, lam, alpha, d):
+    return (lam * s.s2 + (1.0 + 2.0 * lam - lam * alpha) * s.s1
+            + (1.0 - alpha) * s.s0)
+
+
+def _ref_t_stated(s, lam, alpha, d):
+    return lam * s.s2 + (1.0 - lam * alpha) * s.s1 + (1.0 - alpha) * s.s0
+
+
+def _ref_l(s, lam, alpha, d):
+    return (lam * s.s3
+            + (5.0 * lam + 1.0 - lam * alpha) * s.s2
+            + (4.0 * lam - 2.0 * lam * alpha - alpha + 3.0) * s.s1
+            + (1.0 - alpha) * s.s0)
+
+
+def _ref_jnu(s, lam, alpha, d):
+    scale = (d.a - d.b) * d.tau_abs
+    return scale * (lam * s.s2
+                    + (1.0 + 2.0 * lam - lam * alpha) * s.s1
+                    + (1.0 - alpha) * (s.s0 - 1.0))
+
+
+def _ref_qnu(s, lam, alpha, d):
+    return (lam * s.s2
+            + (2.0 * lam - lam * alpha + 1.0) * s.s1
+            + (1.0 - alpha) * s.s0)
+
+
+# (condition, form) -> (reference lhs, reference rhs(alpha), lambda = 0 only)
+_REFERENCE = {
+    ("t", "proof"): (_ref_t_proof, lambda a: 2.0 * (1.0 - a), False),
+    ("t", "stated"): (_ref_t_stated, lambda a: 2.0 * (1.0 - a), False),
+    ("l", "proof"): (_ref_l, lambda a: 2.0 * (1.0 - a), False),
+    ("starlike", "proof"): (_ref_t_proof, lambda a: 2.0 * (1.0 - a), True),
+    ("convex", "proof"): (_ref_l, lambda a: 2.0 * (1.0 - a), True),
+    ("jnu", "proof"): (_ref_jnu, lambda a: 1.0 - a, False),
+    ("qnu", "proof"): (_ref_qnu, lambda a: 2.0 * (1.0 - a), False),
+}
+
+
+class TestCriteriaTable:
+    def test_reference_covers_every_rule(self):
+        assert {(c, f.value) for c, f in _RULES} == set(_REFERENCE)
+
+    # hypothesis favours short mantissas, which round alike in any order;
+    # multiples of 2**-53 give full ones
+    UNIT = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                     st.integers(0, 2 ** 53 - 1).map(lambda k: k * 2.0 ** -53))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(sorted(_REFERENCE)),
+           nu=st.floats(-0.5, 1e3, exclude_min=True), lam=UNIT, alpha=UNIT,
+           b=st.floats(-1.0, 0.99), a_gap=st.floats(1e-6, 2.0),
+           tau_abs=st.floats(1e-6, 1e3))
+    def test_table_reproduces_the_written_expressions(self, case, nu, lam,
+                                                      alpha, b, a_gap,
+                                                      tau_abs):
+        condition, form = case
+        ref_lhs, ref_rhs, lambda_zero = _REFERENCE[case]
+        p = ClassParams(lam, alpha)
+        d = (DixitPalParams(min(b + a_gap, 1.0), b, tau_abs)
+             if condition == "jnu" else None)
+        lhs = ref_lhs(moments(nu), 0.0 if lambda_zero else lam, alpha, d)
+        form = ConditionForm(form)
+        v = _evaluate(condition, nu, p, d, form, 1e-12)
+        assert v.lhs == lhs and v.rhs == ref_rhs(alpha)
+        assert v.margin == ref_rhs(alpha) - lhs
+        assert margin_function(condition, p, d, form)(nu) == v.margin
+
+
+def _falling_factorial_weights(poly, degree):
+    """(w3, w2, w1, w0) with poly(m) = sum_k w_k m(m-1)...(m-k+1): the k-th
+    forward difference of poly at 0 over k!, exactly."""
+    values = [poly(Fraction(m)) for m in range(degree + 1)]
+    weights = []
+    for k in range(degree + 1):
+        weights.append(values[0] / math.factorial(k))
+        values = [y - x for x, y in zip(values, values[1:])]
+    return tuple(reversed(weights + [Fraction(0)] * (3 - degree)))
+
+
+class TestDerivedWeights:
+    """Each lhs is sum_m P(m) c_m for P(m) = (m*lambda + 1)(m + 1 - alpha),
+    times (m + 1) for the convex type; expanding P in falling factorials
+    gives the weights of s_k = S^(k)(1).  jnu sums over m >= 1, which
+    removes P(0) c_0 = w0 * 1: its shift.  At dyadic (lambda, alpha) every
+    float weight is exact, so the comparison is exact."""
+
+    DYADIC = (0.0, 0.25, 0.5, 0.75)
+
+    @staticmethod
+    def _derived(condition, lam, alpha):
+        lam, alpha = Fraction(lam), Fraction(alpha)
+
+        def t_poly(m):
+            return (m * lam + 1) * (m + 1 - alpha)
+
+        if condition in ("l", "convex"):
+            return _falling_factorial_weights(lambda m: (m + 1) * t_poly(m), 3)
+        return _falling_factorial_weights(t_poly, 2)
+
+    @pytest.mark.parametrize("key", sorted(_RULES, key=lambda k: (k[0], k[1].value)))
+    def test_weights_follow_from_the_polynomial(self, key):
+        condition, form = key
+        rule = _RULES[key]
+        stated = key == ("t", ConditionForm.STATED)
+        for lam in self.DYADIC:
+            for alpha in self.DYADIC:
+                table = tuple(map(Fraction, rule.weights(lam, alpha)))
+                derived = self._derived(condition, lam, alpha)
+                if stated:
+                    # the stated s1 weight lacks the derived 2*lambda
+                    assert table[:2] + table[3:] == derived[:2] + derived[3:]
+                    assert derived[2] - table[2] == 2 * Fraction(lam)
+                else:
+                    assert table == derived
+        assert rule.shift == (1.0 if condition == "jnu" else 0.0)
+        assert rule.dixit_pal == (condition == "jnu")
+
+
 class TestMarginMonotonicity:
     @pytest.mark.parametrize("condition", ["t", "l", "starlike", "convex",
                                            "jnu", "qnu"])
     def test_margin_increasing_in_order(self, condition):
-        from besselstruve.criteria import margin_function
         rng = random.Random(f"monotone-{condition}")
         grid = [-0.49 + (30.0 + 0.49) * i / 199 for i in range(200)]
         grid = [g for g in grid if g > -0.5]
@@ -260,7 +385,6 @@ class TestCriticalNu:
             critical_nu("nope", ClassParams(0.0, 0.0), bracket=(0.6, 20.0))
 
     def test_golden_solve_evaluation_count(self):
-        from besselstruve.criteria import margin_function
         margin = margin_function("starlike", ClassParams(0.0, 0.0))
         points = []
 
@@ -291,7 +415,6 @@ class TestCriticalNu:
            lo=st.floats(-0.45, 0.0), hi=st.floats(20.0, 40.0))
     def test_result_is_on_the_holding_side(self, condition, lam, alpha, b,
                                            a_gap, tau_abs, lo, hi):
-        from besselstruve.criteria import margin_function
         if condition in ("starlike", "convex"):
             lam = 0.0
         p = ClassParams(lam, alpha)
