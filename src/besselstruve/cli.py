@@ -114,15 +114,20 @@ def _parse_range(text: str, steps_required: bool = True):
 
 
 def _dixit_pal(args) -> Optional[DixitPalParams]:
-    """The --A/--B/--tau-abs triple, or None; required by conditions on it."""
+    """The --A/--B/--tau-abs triple, or None: required by a condition on the
+    Dixit-Pal class and refused by every other condition."""
     given = [args.A is not None, args.B is not None, args.tau_abs is not None]
+    dixit_pal = _rule(args.condition)[1].dixit_pal
     if not any(given):
-        if _rule(args.condition)[1].dixit_pal:
+        if dixit_pal:
             raise ParameterError(
                 f"condition {args.condition!r} needs --A, --B and --tau-abs")
         return None
     if not all(given):
         raise ParameterError("--A, --B and --tau-abs must be given together")
+    if not dixit_pal:
+        raise ParameterError(
+            f"condition {args.condition!r} takes no DixitPalParams")
     return DixitPalParams(args.A, args.B, args.tau_abs)
 
 
@@ -163,6 +168,7 @@ def _series_check(args, p: ClassParams, tol: float) -> int:
         raise ParameterError(
             f"--series-file applies the coefficient test; condition "
             f"{args.condition!r} is about a fixed operator, not a user series")
+    _dixit_pal(args)
     try:
         f = read_series(args.series_file)
     except OSError as exc:
@@ -244,7 +250,8 @@ def _cmd_scan(args) -> int:
     for nu in nus:
         s = moments(_operator_order(nu), tol)
         head = f"{args.condition},{form.value},{_fmt(nu)},"
-        lhs_slab = _lhs_slab(s, weights, scale, rule.shift)
+        lhs_slab = _lhs_slab((s.s0, s.s1, s.s2, s.s3), weights, scale,
+                             rule.shift)
         for lhs, (point, rhs, rhs_text) in zip(lhs_slab, cells):
             margin = rhs - lhs
             rows.append(f"{head}{point}{lhs:.17g}{rhs_text}{margin:.17g},"

@@ -1,7 +1,8 @@
 """Closed-form membership criteria and the critical-order solver.
 
 Each criterion is a linear inequality in the kernel derivative values at
-z = 1 (see `series.moments`).  All of them take the form lhs <= rhs with
+z = 1 (see `series.moments`; the criteria read only s0..s3, from
+`series._derivative_sums`).  All of them take the form lhs <= rhs with
 nonnegative sides, so a single verdict record with the signed margin
 rhs - lhs covers every case:
 
@@ -46,7 +47,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .errors import BracketError, MonotonicityError, ParameterError
-from .series import MomentSet, _operator_order, moments
+from .series import (_cached_table, _check_tol, _derivative_sums,
+                     _operator_order, _truncated_table)
 
 __all__ = [
     "ClassParams",
@@ -219,10 +221,13 @@ def _scale(rule: _Rule, d) -> float:
     return (d.a - d.b) * d.tau_abs
 
 
-def _lhs_slab(s: MomentSet, weights: list[_Weights], scale: float,
+def _lhs_slab(sums: tuple[float, float, float, float],
+              weights: list[_Weights], scale: float,
               shift: float) -> list[float]:
-    """The lhs of every weight tuple in ``weights`` at the moments ``s``."""
-    s0, s1, s2, s3 = s.s0 - shift, s.s1, s.s2, s.s3
+    """The lhs of every weight tuple in ``weights`` at ``sums`` = (s0, s1,
+    s2, s3)."""
+    s0, s1, s2, s3 = sums
+    s0 -= shift
     return [scale * (((w3 * s3 + w2 * s2) + w1 * s1) + w0 * s0)
             for w3, w2, w1, w0 in weights]
 
@@ -242,10 +247,12 @@ def _prepare(condition: str, p: ClassParams, d: Optional[DixitPalParams],
 
 def _evaluate(condition: str, nu, p: ClassParams, d: Optional[DixitPalParams],
               form: ConditionForm, tol: float) -> MembershipVerdict:
-    """Verdict of a named condition at one point, from one `moments` call."""
+    """Verdict of a named condition at one point, from one
+    `_derivative_sums` call on the cached table."""
     order = _operator_order(nu)
     form, cell, rhs, scale, shift = _prepare(condition, p, d, form)
-    lhs, = _lhs_slab(moments(order, tol), cell, scale, shift)
+    sums = _derivative_sums(order.nu, _check_tol(tol))
+    lhs, = _lhs_slab(sums, cell, scale, shift)
     return _verdict(lhs, rhs, form)
 
 
@@ -313,12 +320,19 @@ def qnu_condition(nu, p: ClassParams, tol: float = 1e-12) -> MembershipVerdict:
 def margin_function(condition: str, p: ClassParams,
                     extra: Optional[DixitPalParams] = None,
                     form: ConditionForm = ConditionForm.PROOF,
-                    tol: float = 1e-12) -> Callable[[float], float]:
+                    tol: float = 1e-12,
+                    cached: tuple[float, ...] = ()) -> Callable[[float], float]:
     """margin(nu) for a named condition with all other parameters fixed.
 
-    The rule, its weights, rhs and scale are prepared once; each call costs
-    one `moments` and a one-cell `_lhs_slab`, and returns the margin of
-    `_evaluate` bit for bit.
+    The rule, its weights, rhs, scale and tol are checked and prepared
+    once.  Each call checks nu (a float in (-1/2, inf) directly, anything
+    else through `_operator_order`, which raises the DomainError), builds
+    one truncated table, sums s0..s3 from it (`_derivative_sums`) and
+    applies a one-cell `_lhs_slab`: it returns the margin of `_evaluate`
+    bit for bit.  The table skips the table cache, since a solve never
+    returns to an order it has evaluated, except at the orders in
+    ``cached``: `critical_nu` passes its bracket ends there, which solves
+    with a shared bracket evaluate again.
     """
     cond = condition.lower()
     _, rule = _rule(cond, form)
@@ -327,9 +341,14 @@ def margin_function(condition: str, p: ClassParams,
     if not rule.dixit_pal and extra is not None:
         raise ParameterError(f"condition {cond!r} takes no DixitPalParams")
     _, cell, rhs, scale, shift = _prepare(cond, p, extra, form)
+    tol = _check_tol(tol)
 
     def margin(nu: float) -> float:
-        lhs, = _lhs_slab(moments(_operator_order(nu), tol), cell, scale, shift)
+        if type(nu) is not float or not -0.5 < nu < math.inf:
+            nu = _operator_order(nu).nu
+        table = _cached_table if nu in cached else _truncated_table
+        sums = _derivative_sums(nu, tol, table)
+        lhs, = _lhs_slab(sums, cell, scale, shift)
         return rhs - lhs
 
     return margin
@@ -372,7 +391,7 @@ def critical_nu(condition: str, p: ClassParams,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi):
         raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    margin = margin_function(condition, p, extra, form, tol)
+    margin = margin_function(condition, p, extra, form, tol, (lo, hi))
     return _bisect_margin(margin, lo, hi, margin_tol, nu_tol)
 
 

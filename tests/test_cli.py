@@ -332,6 +332,17 @@ class TestErrorPaths:
          "error: criteria and operators require nu > -1/2"),
         (("scan", "jnu", "--nu", "1", "--output", "{out}"),
          "error: condition 'jnu' needs --A, --B and --tau-abs"),
+        # a Dixit-Pal triple on another condition is refused, not ignored
+        (("check", "t", "--nu", "3", "--A", "0.5", "--B=-0.5", "--tau-abs", "1"),
+         "error: condition 't' takes no DixitPalParams"),
+        (("scan", "t", "--nu", "1", "--A", "0.5", "--B=-0.5", "--tau-abs", "1",
+          "--output", "{out}"),
+         "error: condition 't' takes no DixitPalParams"),
+        (("critical", "t", "--A", "0.5", "--B=-0.5", "--tau-abs", "1"),
+         "error: condition 't' takes no DixitPalParams"),
+        (("check", "l", "--series-file", "{missing}", "--A", "0.5", "--B=-0.5",
+          "--tau-abs", "1"),
+         "error: condition 'l' takes no DixitPalParams"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, argv, first_words):
         paths = {"missing": str(tmp_path / "missing.txt"),

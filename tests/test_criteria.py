@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from besselstruve import (BracketError, ClassParams, ConditionForm,
                           DixitPalParams, DomainError, MonotonicityError,
-                          ParameterError, convex_condition, critical_nu,
-                          highprec_sum_oracle, jnu_condition, l_condition,
-                          moments, qnu_condition, starlike_condition,
-                          t_condition)
+                          ParameterError, convex_condition, criteria,
+                          critical_nu, highprec_sum_oracle, jnu_condition,
+                          l_condition, moments, qnu_condition, series,
+                          starlike_condition, t_condition)
 from besselstruve.criteria import (_RULES, _bisect_margin, _evaluate,
                                    margin_function)
 
@@ -425,3 +425,60 @@ class TestCriticalNu:
         nu_star = critical_nu(condition, p, extra, bracket=(lo, hi))
         assert lo < nu_star < hi
         assert 0.0 <= margin(nu_star) <= 1e-10
+
+
+class TestSolveCost:
+    """What one `critical_nu` solve computes: per margin evaluation one
+    truncated table and one `_derivative_sums`, and no `MomentSet`."""
+
+    # (condition, p, extra, bracket, form, nu*, margin evaluations)
+    SOLVES = [
+        ("t", ClassParams(0.5, 0.3), None, (0.6, 30.0), ConditionForm.PROOF,
+         7.4912367943898435, 14),
+        ("t", ClassParams(0.5, 0.3), None, (0.6, 30.0), ConditionForm.STATED,
+         3.3751414015487824, 12),
+        ("l", ClassParams(0.2, 0.4), None, (0.6, 30.0), ConditionForm.PROOF,
+         21.69213569918175, 10),
+        ("starlike", ClassParams(0.0, 0.5), None, (-0.4, 30.0),
+         ConditionForm.PROOF, 4.682194345866703, 14),
+        ("convex", ClassParams(0.0, 0.5), None, (-0.4, 30.0),
+         ConditionForm.PROOF, 18.429835150393345, 10),
+        ("jnu", ClassParams(0.3, 0.2), DixitPalParams(0.7, -0.6, 0.85),
+         (-0.4, 30.0), ConditionForm.PROOF, 5.799014657599882, 14),
+        ("qnu", ClassParams(0.7, 0.6), None, (0.6, 30.0), ConditionForm.PROOF,
+         17.935022782829325, 10),
+    ]
+
+    @pytest.mark.parametrize("condition, p, extra, bracket, form, nu_star, "
+                             "evaluations", SOLVES)
+    def test_counts(self, monkeypatch, condition, p, extra, bracket, form,
+                    nu_star, evaluations):
+        tables, sums = [], []
+        truncated = series._truncated_table
+        derivative_sums = series._derivative_sums
+
+        def counted_table(*args):
+            tables.append(args[0])
+            return truncated(*args)
+
+        def counted_sums(*args):
+            sums.append(args[0])
+            return derivative_sums(*args)
+
+        def no_moment_set(*args):
+            raise AssertionError("a solve builds no MomentSet")
+
+        # the cache would hide a table run at an order seen before
+        series._cached_table.cache_clear()
+        monkeypatch.setattr(series, "_truncated_table", counted_table)
+        monkeypatch.setattr(criteria, "_truncated_table", counted_table)
+        monkeypatch.setattr(criteria, "_derivative_sums", counted_sums)
+        monkeypatch.setattr(series, "MomentSet", no_moment_set)
+        got = critical_nu(condition, p, extra, bracket, form=form)
+        # only the bracket ends went through the table cache
+        cached = series._cached_table.cache_info().currsize
+        series._cached_table.cache_clear()
+        assert cached == 2
+        assert got == nu_star
+        assert len(sums) == evaluations
+        assert tables == sums

@@ -20,6 +20,7 @@ from besselstruve import (ClassParams, CoefficientSequence, DomainError,
                           eval_phi, highprec_sum_oracle, kernel_coefficient,
                           log_kernel_coefficient, moments, operators, series)
 from besselstruve import _pykernels as kernels
+from besselstruve.criteria import critical_nu, margin_function
 from besselstruve.verifier import _moment_identity_residuals
 
 from conftest import NU_GRID, disk_points, mp_class_weight, mp_weighted_tail
@@ -432,6 +433,56 @@ class TestMoments:
         msg = str(info.value)
         assert f"nu={nu!r}" in msg and f"tol={tol!r}" in msg
         assert "ulp" in msg
+
+
+class TestDerivativeSums:
+    """`series._derivative_sums`, the s0..s3 that `moments` and the criteria
+    read, with or without the table cache."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(nu=st.one_of(st.floats(-0.5, 2.0, exclude_min=True),
+                        st.floats(-0.5, 1e3, exclude_min=True)),
+           tol=st.floats(-16.0, -6.0).map(lambda e: min(10.0 ** e, 1e-6)))
+    def test_sums_equal_moments_and_raise_with_it(self, nu, tol):
+        ref = _termwise_moments(nu, tol)
+        top = max(ref.s0, ref.s3 + 6.0 * ref.s2 + 7.0 * ref.s1 + ref.m0)
+        try:
+            m = moments(nu, tol)
+        except ParameterError as exc:
+            assert math.ulp(top) > tol
+            for table in (series._cached_table, series._truncated_table):
+                with pytest.raises(ParameterError) as info:
+                    series._derivative_sums(nu, tol, table)
+                assert str(info.value) == str(exc)
+            return
+        assert math.ulp(top) <= tol
+        for table in (series._cached_table, series._truncated_table):
+            assert series._derivative_sums(nu, tol, table) == \
+                (m.s0, m.s1, m.s2, m.s3)
+
+    def test_floor_message_through_critical_nu(self):
+        with pytest.raises(ParameterError) as info:
+            critical_nu("t", ClassParams(0.5, 0.3), tol=1e-15)
+        assert str(info.value) == (
+            "moments at nu=0.6 cannot reach tol=1e-15: the largest value "
+            "11.7974 is resolved only to its ulp 1.776e-15")
+
+    @pytest.mark.parametrize("nu, message", [
+        (-0.5, "criteria and operators require nu > -1/2, got nu=-0.5"),
+        (-1.0, "kernel order must satisfy nu > -1, got -1.0"),
+        (math.nan, "kernel order must satisfy nu > -1, got nan"),
+        (math.inf, "kernel order must satisfy nu > -1, got inf"),
+        (-0.7, "criteria and operators require nu > -1/2, got nu=-0.7"),
+    ])
+    def test_margin_function_domain_errors(self, nu, message):
+        margin = margin_function("t", ClassParams(0.5, 0.3))
+        with pytest.raises(DomainError) as info:
+            margin(nu)
+        assert str(info.value) == message
+
+    def test_margin_function_takes_any_real_order(self):
+        margin = margin_function("t", ClassParams(0.5, 0.3))
+        assert margin(True) == margin(1) == margin(1.0) == -1.411959601998794
 
 
 _DBL_MIN = 2.2250738585072014e-308
