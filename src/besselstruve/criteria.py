@@ -2,7 +2,7 @@
 
 Each criterion is a linear inequality in the kernel derivative values at
 z = 1 (see `series.moments`; the criteria read only s0..s3, from
-`series._derivative_sums`).  All of them take the form lhs <= rhs with
+`series._moment_sums`).  All of them take the form lhs <= rhs with
 nonnegative sides, so a single verdict record with the signed margin
 rhs - lhs covers every case:
 
@@ -47,8 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .errors import BracketError, MonotonicityError, ParameterError
-from .series import (_cached_table, _check_tol, _derivative_sums,
-                     _operator_order, _truncated_table)
+from .series import _check_tol, _moment_sums, _operator_order
 
 __all__ = [
     "ClassParams",
@@ -247,11 +246,11 @@ def _prepare(condition: str, p: ClassParams, d: Optional[DixitPalParams],
 
 def _evaluate(condition: str, nu, p: ClassParams, d: Optional[DixitPalParams],
               form: ConditionForm, tol: float) -> MembershipVerdict:
-    """Verdict of a named condition at one point, from one
-    `_derivative_sums` call on the cached table."""
+    """Verdict of a named condition at one point, from one `_moment_sums`
+    call."""
     order = _operator_order(nu)
     form, cell, rhs, scale, shift = _prepare(condition, p, d, form)
-    sums = _derivative_sums(order.nu, _check_tol(tol))
+    sums = _moment_sums(order.nu, _check_tol(tol))[:4]
     lhs, = _lhs_slab(sums, cell, scale, shift)
     return _verdict(lhs, rhs, form)
 
@@ -320,19 +319,15 @@ def qnu_condition(nu, p: ClassParams, tol: float = 1e-12) -> MembershipVerdict:
 def margin_function(condition: str, p: ClassParams,
                     extra: Optional[DixitPalParams] = None,
                     form: ConditionForm = ConditionForm.PROOF,
-                    tol: float = 1e-12,
-                    cached: tuple[float, ...] = ()) -> Callable[[float], float]:
+                    tol: float = 1e-12) -> Callable[[float], float]:
     """margin(nu) for a named condition with all other parameters fixed.
 
     The rule, its weights, rhs, scale and tol are checked and prepared
     once.  Each call checks nu (a float in (-1/2, inf) directly, anything
-    else through `_operator_order`, which raises the DomainError), builds
-    one truncated table, sums s0..s3 from it (`_derivative_sums`) and
-    applies a one-cell `_lhs_slab`: it returns the margin of `_evaluate`
-    bit for bit.  The table skips the table cache, since a solve never
-    returns to an order it has evaluated, except at the orders in
-    ``cached``: `critical_nu` passes its bracket ends there, which solves
-    with a shared bracket evaluate again.
+    else through `_operator_order`, which raises the DomainError), sums
+    s0..s3 from one cached truncated table (`_moment_sums`) and applies
+    a one-cell `_lhs_slab`: it returns the margin of `_evaluate` bit for
+    bit.
     """
     cond = condition.lower()
     _, rule = _rule(cond, form)
@@ -346,9 +341,7 @@ def margin_function(condition: str, p: ClassParams,
     def margin(nu: float) -> float:
         if type(nu) is not float or not -0.5 < nu < math.inf:
             nu = _operator_order(nu).nu
-        table = _cached_table if nu in cached else _truncated_table
-        sums = _derivative_sums(nu, tol, table)
-        lhs, = _lhs_slab(sums, cell, scale, shift)
+        lhs, = _lhs_slab(_moment_sums(nu, tol)[:4], cell, scale, shift)
         return rhs - lhs
 
     return margin
@@ -391,7 +384,7 @@ def critical_nu(condition: str, p: ClassParams,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi):
         raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    margin = margin_function(condition, p, extra, form, tol, (lo, hi))
+    margin = margin_function(condition, p, extra, form, tol)
     return _bisect_margin(margin, lo, hi, margin_tol, nu_tol)
 
 

@@ -51,10 +51,6 @@ _FIRST_SIZE = 24
 # Covers the rounding error of the closed-form tail bound (`_weighted_tail`).
 _TAIL_ROUND_UP = 1.0 + 1e-14
 
-# Below this multiple of tol a moment value has an ulp below tol, with room
-# for the rounding of the estimate that is compared with it (`_derivative_sums`).
-_FLOOR_FREE = 2.0 ** 51
-
 _LN2 = 0.6931471805599453
 
 
@@ -393,47 +389,43 @@ def _moment_weights(bits: int):
     )
 
 
-def _derivative_sums(nu: float, tol: float, table=_cached_table):
-    """(s_0, s_1, s_2, s_3): S_nu and its first three derivatives at z = 1.
+def _moment_sums(nu: float, tol: float):
+    """(s_0, s_1, s_2, s_3, m_0): S_nu and its first three derivatives at
+    z = 1, and the sum of the table past c_0.
 
-    ``nu`` must be a float > -1 and ``tol`` a checked tolerance.  ``table``
-    is `_cached_table`, or `_truncated_table` for a caller that never returns
-    to an order it has evaluated.  The truncation is chosen so even the
-    (n+1)^3-weighted tail, that of m_3, is below tol, and each s_k is an
+    ``nu`` must be a float > -1 and ``tol`` a checked tolerance.  The sums
+    read the `_cached_table` entry; its truncation is chosen so even the
+    (n+1)^3-weighted tail, that of m_3, is below tol, and each sum is an
     exact sum of the table entries times integers, rounded once.  No double
     near the largest moment value, max(s0, m3), resolves a tol below its
-    ulp: such a tol raises ParameterError.  Since ulp(x) <= 2^-52 * x, that
-    cannot happen while s0 + 7 s1 + 6 s2 + s3, which bounds both to within a
-    few roundings, stays below 2^51 * tol; only past it is m_0 summed and
-    m_3 formed for the exact test.
+    ulp: such a tol raises ParameterError.
     """
-    vals = table(nu, tol, 3)[0]
+    vals = _cached_table(nu, tol, 3)[0]
     fsum = math.fsum
     w1, w2, w3 = _moment_weights(len(vals).bit_length())
     s0 = fsum(vals)
     s1 = fsum(map(mul, w1, vals))
     s2 = fsum(map(mul, w2, vals))
     s3 = fsum(map(mul, w3, vals))
-    if s0 + 7.0 * s1 + 6.0 * s2 + s3 >= _FLOOR_FREE * tol:
-        top = max(s0, s3 + 6.0 * s2 + 7.0 * s1 + fsum(vals[1:]))
-        if math.ulp(top) > tol:
-            raise ParameterError(
-                f"moments at nu={nu!r} cannot reach tol={tol!r}: the largest "
-                f"value {top:.6g} is resolved only to its ulp {math.ulp(top):.3e}")
-    return s0, s1, s2, s3
+    m0 = fsum(vals[1:])
+    top = max(s0, s3 + 6.0 * s2 + 7.0 * s1 + m0)
+    if math.ulp(top) > tol:
+        raise ParameterError(
+            f"moments at nu={nu!r} cannot reach tol={tol!r}: the largest "
+            f"value {top:.6g} is resolved only to its ulp {math.ulp(top):.3e}")
+    return s0, s1, s2, s3, m0
 
 
 def moments(nu, tol: float = 1e-12) -> MomentSet:
     """m_k and s_k values at z = 1, each with truncation error <= tol.
 
-    s_0..s_3 come from `_derivative_sums`, which also raises ParameterError
-    for a tol below the ulp of max(s0, m3).  m_0 is the exact sum of the
-    same table past c_0, rounded once, and m_1..m_3 add the s_k to it with
-    positive integer weights (see `MomentSet`), so nothing cancels.
+    s_0..s_3 and m_0 come from `_moment_sums`, which also raises
+    ParameterError for a tol below the ulp of max(s0, m3).  m_1..m_3 add
+    the s_k to m_0 with positive integer weights (see `MomentSet`), so
+    nothing cancels.
     """
     order = _as_order(nu)
     tol = _check_tol(tol)
-    s0, s1, s2, s3 = _derivative_sums(order.nu, tol)
-    m0 = math.fsum(_cached_table(order.nu, tol, 3)[0][1:])
+    s0, s1, s2, s3, m0 = _moment_sums(order.nu, tol)
     m3 = s3 + 6.0 * s2 + 7.0 * s1 + m0
     return MomentSet(m0, s1 + m0, s2 + 3.0 * s1 + m0, m3, s0, s1, s2, s3, tol)

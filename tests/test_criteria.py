@@ -429,7 +429,8 @@ class TestCriticalNu:
 
 class TestSolveCost:
     """What one `critical_nu` solve computes: per margin evaluation one
-    truncated table and one `_derivative_sums`, and no `MomentSet`."""
+    `_moment_sums` and one truncated table (each order is new to the
+    table cache), and no `MomentSet`."""
 
     # (condition, p, extra, bracket, form, nu*, margin evaluations)
     SOLVES = [
@@ -455,7 +456,7 @@ class TestSolveCost:
                     nu_star, evaluations):
         tables, sums = [], []
         truncated = series._truncated_table
-        derivative_sums = series._derivative_sums
+        moment_sums = series._moment_sums
 
         def counted_table(*args):
             tables.append(args[0])
@@ -463,7 +464,7 @@ class TestSolveCost:
 
         def counted_sums(*args):
             sums.append(args[0])
-            return derivative_sums(*args)
+            return moment_sums(*args)
 
         def no_moment_set(*args):
             raise AssertionError("a solve builds no MomentSet")
@@ -471,14 +472,10 @@ class TestSolveCost:
         # the cache would hide a table run at an order seen before
         series._cached_table.cache_clear()
         monkeypatch.setattr(series, "_truncated_table", counted_table)
-        monkeypatch.setattr(criteria, "_truncated_table", counted_table)
-        monkeypatch.setattr(criteria, "_derivative_sums", counted_sums)
+        monkeypatch.setattr(criteria, "_moment_sums", counted_sums)
         monkeypatch.setattr(series, "MomentSet", no_moment_set)
         got = critical_nu(condition, p, extra, bracket, form=form)
-        # only the bracket ends went through the table cache
-        cached = series._cached_table.cache_info().currsize
         series._cached_table.cache_clear()
-        assert cached == 2
         assert got == nu_star
         assert len(sums) == evaluations
         assert tables == sums

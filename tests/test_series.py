@@ -435,9 +435,9 @@ class TestMoments:
         assert "ulp" in msg
 
 
-class TestDerivativeSums:
-    """`series._derivative_sums`, the s0..s3 that `moments` and the criteria
-    read, with or without the table cache."""
+class TestMomentSums:
+    """`series._moment_sums`, the s0..s3 and m0 that `moments` and the
+    criteria read."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(nu=st.one_of(st.floats(-0.5, 2.0, exclude_min=True),
@@ -450,15 +450,14 @@ class TestDerivativeSums:
             m = moments(nu, tol)
         except ParameterError as exc:
             assert math.ulp(top) > tol
-            for table in (series._cached_table, series._truncated_table):
-                with pytest.raises(ParameterError) as info:
-                    series._derivative_sums(nu, tol, table)
-                assert str(info.value) == str(exc)
+            series._cached_table.cache_clear()
+            with pytest.raises(ParameterError) as info:
+                series._moment_sums(nu, tol)
+            assert str(info.value) == str(exc)
             return
         assert math.ulp(top) <= tol
-        for table in (series._cached_table, series._truncated_table):
-            assert series._derivative_sums(nu, tol, table) == \
-                (m.s0, m.s1, m.s2, m.s3)
+        series._cached_table.cache_clear()
+        assert series._moment_sums(nu, tol) == (m.s0, m.s1, m.s2, m.s3, m.m0)
 
     def test_floor_message_through_critical_nu(self):
         with pytest.raises(ParameterError) as info:
