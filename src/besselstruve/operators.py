@@ -20,8 +20,8 @@ from typing import Optional
 from . import _pykernels as kernels
 from .criteria import ClassParams, DixitPalParams, _check_params
 from .errors import InconclusiveError, ParameterError, SeriesFormatError
-from .series import (_check_index, _operator_order, _tail_envelope,
-                     _weighted_tail, coefficient_sequence)
+from .series import (_check_index, _operator_order, _weighted_tail,
+                     coefficient_sequence)
 
 __all__ = [
     "SignConvention",
@@ -177,9 +177,12 @@ def q_operator(nu, n_terms: int) -> NormalizedSeries:
     n_terms = _check_index(n_terms, "n_terms", 1)
     vals = kernels.coefficient_table(order.nu, n_terms + 1)
     coeffs = tuple(vals[n - 1] / n for n in range(2, n_terms + 1))
-    # b_n = c_{n-1}/n: past N the ratio is at most the c-ratio q, and
-    # sum_{n>N} b_n <= c_{N-1}/(N+1) * sum_{k>=1} q^k
-    q, _ = _tail_envelope(vals, n_terms - 1)
+    # b_n = c_{n-1}/n: past N the ratio is at most the c-ratio q, the larger
+    # of the two at N-1 (the c-ratio decreases along each parity), and
+    # sum_{n>N} b_n <= c_{N-1}/(N+1) * sum_{k>=1} q^k.  Rounding puts q just
+    # above 1 for nu just above -1/2 at n_terms = 1.
+    c0, c1, c2 = vals[n_terms - 1:]
+    q = max(c1 / c0, c2 / c1) if c0 > 0.0 and c1 > 0.0 else 0.0
     if q >= 1.0:
         raise ParameterError(f"n_terms={n_terms} truncates before geometric "
                              f"decay at nu={order.nu}")

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, reduce
+from operator import add, mul
 
 from . import _pykernels as kernels
 from .errors import DomainError, ParameterError
@@ -40,10 +40,6 @@ __all__ = [
     "moments",
 ]
 
-# A truncation index is accepted once the consecutive-term ratio sits below
-# this cap; past that point the ratio decays like 1/n, so the geometric
-# majorant is both valid and rapidly shrinking.
-_RATIO_CAP = 0.875
 _MAX_TERMS = 10_000
 # Highest index of the first table a truncation search builds.  The search
 # at tol 1e-12 and weight n^3 ends at N = 11..17 for nu in [-0.45, 40].
@@ -96,10 +92,11 @@ def _operator_order(nu) -> KernelOrder:
 class CoefficientSequence:
     """Truncated coefficient table c_0..c_N with a proven tail majorant.
 
-    ``tail_bound`` bounds sum_{n>N} c_n and ``tail_ratio`` is a q < 1 with
-    c_{n+1} <= q * c_n for every n >= N (the consecutive ratio decreases
-    along each parity for all nu > -1, so q = max of the first two ratios
-    past N is a valid envelope).
+    ``tail_bound`` bounds sum_{n>N} c_n and ``tail_ratio`` is a q with
+    c_{n+1} <= q * c_n for every n >= N: the larger of c_{N+1}/c_N and
+    c_{N+2}/c_{N+1}, a valid envelope because the consecutive ratio
+    decreases along each parity for all nu > -1 (see `_truncated_table`).
+    It is below 0.4245, or 0.0 where the table underflows.
     """
 
     order: KernelOrder
@@ -187,23 +184,6 @@ def kernel_coefficient(nu, n: int) -> float:
     return kernels.coefficient_table(order.nu, n)[n]
 
 
-def _tail_envelope(vals, start):
-    """(q, ok): q = max of the two consecutive ratios at ``start``.
-
-    Valid as a geometric envelope for all n >= start because the ratio
-    c_{n+1}/c_n decreases along each parity: with c_{n+2} = c_n/((n+2)(n+2+2nu))
-    the two-apart ratio of ratios is (n+2)(n+2+2nu)/((n+3)(n+3+2nu)) < 1
-    whenever nu > -1.  Requires vals to extend two places past ``start``.
-    """
-    c0 = vals[start]
-    c1 = vals[start + 1]
-    c2 = vals[start + 2]
-    if c0 <= 0.0 or c1 <= 0.0:
-        return 0.0, True  # underflowed: the remaining tail is below resolution
-    q = max(c1 / c0, c2 / c1)
-    return q, q < _RATIO_CAP
-
-
 def _power_weights(n: int, power: int):
     """Coefficients in powers of k of the moment weight (n+1+k)^power.
 
@@ -237,35 +217,70 @@ def _weighted_tail(c: float, q: float, d0, d1=0.0, d2=0.0, d3=0.0) -> float:
     return c * (q * u * s) * _TAIL_ROUND_UP + 5e-324
 
 
-def _truncated_table(nu: float, tol: float, power: int):
-    """Smallest table with the power-weighted tail below tol.
+def _truncated_table(nu: float, tol: float, power: int, radius: float = 1.0):
+    """Smallest table whose power-weighted tail at |z| = radius is below tol.
 
-    Returns (values c_0..c_N as a list, tail bound, envelope ratio q).
+    Returns (values c_0..c_N as a list, tail bound, envelope ratio q).  The
+    scan reads the terms t_n = c_n * radius^n: at radius 1 the table itself,
+    past it their own recurrence t_{n+2} = t_n * radius^2 / ((n+2)(n+2+2nu))
+    from t_0 = 1 and t_1 = c_1 * radius, which stays finite where c_n
+    underflows.  q is the larger of the two consecutive term ratios at N.
+    It bounds every later ratio, because the ratio decreases along each
+    parity: the ratio of two-apart ratios is
+    (n+2)(n+2+2nu)/((n+3)(n+3+2nu)) < 1 whenever nu > -1.  N is the first
+    index with q < 1 and the `_weighted_tail` of the (n+1+k)^power weights
+    below tol; an index whose first tail term t_N * q * (N+2)^power already
+    exceeds tol is skipped without computing that bound, which can only be
+    larger.  At radius 1, q < 0.4245 at every n >= 2 (its largest value is
+    c_3/c_2, which tends to 4/(3 pi) ~ 0.42441 as nu -> -1), so the test
+    q < 1 binds only past radius 1.
+
     The scan starts on a table of _FIRST_SIZE + 1 entries, which covers the
     usual truncation; when no index passes, the table doubles and the scan
-    resumes where it stopped (a table is a prefix of any longer one).  The
-    envelope is `_tail_envelope`, inlined.  An index whose first tail term
-    c_N * q * (N+2)^power already exceeds tol is skipped without computing
-    `_weighted_tail`: that bound can only be larger, so the accepted index
-    and bound are unchanged.
+    resumes where it stopped (a table is a prefix of any longer one).  Past
+    radius 1 the table can run out first: once its next entry underflows to
+    0.0 it holds no more terms, and it is kept if the tail is below 2^-53 of
+    the kept terms' sum, where a double cannot resolve it.  Otherwise
+    ParameterError is raised, as it is when a term or the sum overflows.
     """
-    size, start = _FIRST_SIZE, 2
+    size, start, terms = _FIRST_SIZE, 2, []
     while True:
         vals = kernels.coefficient_table(nu, min(size, _MAX_TERMS + 2))
+        if radius == 1.0:
+            terms = vals
+        else:
+            r2, two_nu = radius * radius, 2.0 * nu
+            terms = terms or [1.0, vals[1] * radius]
+            for k in range(len(terms), len(vals)):
+                terms.append(terms[k - 2] * r2 / (k * (k + two_nu)))
         for n in range(start, len(vals) - 2):
-            c0 = vals[n]
-            c1 = vals[n + 1]
-            if c0 <= 0.0 or c1 <= 0.0:
-                q = 0.0  # underflowed: the remaining tail is below resolution
-            else:
-                r0 = c1 / c0
-                r1 = vals[n + 2] / c1
-                q = r1 if r1 > r0 else r0
-                if q >= _RATIO_CAP or c0 * q * float(n + 2) ** power > tol:
-                    continue
-            tail = _weighted_tail(c0, q, *_power_weights(n, power))
-            if tail <= tol:
-                return vals[: n + 1], tail, q
+            t = terms[n]
+            t1 = terms[n + 1]
+            if t <= 0.0 or t1 <= 0.0:
+                # underflowed: the remaining tail is below resolution
+                return vals[: n + 1], 0.0, 0.0
+            r0 = t1 / t
+            r1 = terms[n + 2] / t1
+            q = r1 if r1 > r0 else r0
+            if q < 1.0 and t * q * float(n + 2) ** power <= tol:
+                tail = _weighted_tail(t, q, *_power_weights(n, power))
+                if tail <= tol:
+                    return vals[: n + 1], tail, q
+            if vals[n + 1] <= 0.0:  # only past radius 1
+                total = reduce(add, terms[: n + 1])
+                if not max(t1, terms[n + 2], total) < math.inf:
+                    raise ParameterError(
+                        f"S_nu at |z|={radius!r} (nu={nu!r}) overflows a double")
+                if q < 1.0:
+                    tail = _weighted_tail(t, q, *_power_weights(n, power))
+                else:
+                    tail = math.inf
+                if tail <= 2.0 ** -53 * total:
+                    return vals[: n + 1], tail, q
+                raise ParameterError(
+                    f"S_nu at |z|={radius!r} (nu={nu!r}) cannot reach tol={tol!r}: "
+                    f"the coefficients underflow while the dropped tail is "
+                    f"{tail:.3e}, above 2^-53 of the sum {total:.3e}")
         if size >= _MAX_TERMS:
             raise RuntimeError(
                 f"no geometric tail within {_MAX_TERMS} terms for nu={nu}; "
@@ -284,7 +299,8 @@ def coefficient_sequence(nu, tol: float = 1e-12) -> CoefficientSequence:
     """Adaptively truncated coefficient table with tail bound <= tol.
 
     The truncation index N is the first one where the `_weighted_tail`
-    majorant of sum_{n>N} c_n (q from `_tail_envelope`) drops below ``tol``.
+    majorant of sum_{n>N} c_n drops below ``tol`` (`_truncated_table` at
+    radius 1 with weight power 0).
     """
     order = _as_order(nu)
     tol = _check_tol(tol)
@@ -298,9 +314,9 @@ def eval_kernel(nu, z, tol: float = 1e-12) -> complex:
     S_nu(0) = 1 exactly.  Points outside the closed unit disk are evaluated
     with the truncation extended until the |z|-rescaled tail majorant meets
     the same tolerance, or falls below 2^-53 * S_nu(|z|) where the
-    coefficients underflow (see `_table_for_radius`).  Past that, from
-    |z| ~ 90 for moderate nu, and for a non-finite z, ParameterError is
-    raised.
+    coefficients underflow: `_truncated_table` at radius |z|, uncached.
+    Past that, from |z| ~ 90 for moderate nu, and for a non-finite z,
+    ParameterError is raised.
     """
     order = _as_order(nu)
     tol = _check_tol(tol)
@@ -311,53 +327,9 @@ def eval_kernel(nu, z, tol: float = 1e-12) -> complex:
     if az <= 1.0:
         vals, _, _ = _cached_table(order.nu, tol, 0)
     else:
-        vals = _table_for_radius(order.nu, tol, az)
+        vals = _truncated_table(order.nu, tol, 0, az)[0]
     re, im = kernels.horner(vals, z.real, z.imag)
     return complex(re, im)
-
-
-def _table_for_radius(nu: float, tol: float, radius: float):
-    """Smallest table whose |z|-rescaled tail majorant is below tol.
-
-    The terms t_n = c_n * radius^n run on their own recurrence
-    t_{n+2} = t_n * radius^2 / ((n+2)(n+2+2nu)) from t_0 = 1 and
-    t_1 = c_1 * radius, so they stay finite where c_n underflows; the two
-    ratios at n bound the dropped tail as in `_tail_envelope`.  The table
-    doubles like `_truncated_table`'s.  Once its next entry underflows to
-    0.0 it holds no more terms: it is kept if the tail is below 2^-53 of the
-    kept terms' sum, where a double cannot resolve it, and otherwise
-    ParameterError is raised, as it is when a term or the sum overflows.
-    """
-    r2 = radius * radius
-    two_nu = 2.0 * nu
-    size = _FIRST_SIZE
-    vals = kernels.coefficient_table(nu, size)
-    terms = [1.0, vals[1] * radius]
-    total = 1.0 + terms[1]
-    for n in range(2, _MAX_TERMS + 1):
-        if n + 1 >= len(vals):
-            size *= 2
-            vals = kernels.coefficient_table(nu, min(size, _MAX_TERMS + 2))
-        for k in range(len(terms), n + 3):
-            terms.append(terms[k - 2] * r2 / (k * (k + two_nu)))
-        t, t1, t2 = terms[n], terms[n + 1], terms[n + 2]
-        total += t
-        if not max(t1, t2, total) < math.inf:
-            raise ParameterError(
-                f"S_nu at |z|={radius!r} (nu={nu!r}) overflows a double")
-        q = max(t1 / t, t2 / t1) if t > 0.0 and t1 > 0.0 else 0.0
-        tail = _weighted_tail(t, q, 1.0) if q < 1.0 else math.inf
-        if tail <= tol:
-            return vals[: n + 1]
-        if vals[n + 1] <= 0.0:
-            if tail <= 2.0 ** -53 * total:
-                return vals[: n + 1]
-            raise ParameterError(
-                f"S_nu at |z|={radius!r} (nu={nu!r}) cannot reach tol={tol!r}: "
-                f"the coefficients underflow while the dropped tail is "
-                f"{tail:.3e}, above 2^-53 of the sum {total:.3e}")
-    raise RuntimeError(
-        f"series truncation for |z|={radius} exceeded {_MAX_TERMS} terms")
 
 
 def eval_normalized(nu, z, tol: float = 1e-12) -> complex:
