@@ -355,14 +355,23 @@ def critical_nu(condition: str, p: ClassParams,
                 tol: float = 1e-12) -> float:
     """Boundary order nu* where the condition's margin crosses zero.
 
-    Guarded false position (Illinois) on the (empirically increasing)
-    margin: the first step is the midpoint, and any later pair of steps
-    that fails to halve the bracket is followed by a midpoint, so the
-    solver never needs more than about twice bisection's
-    log2((hi-lo)/ulp) evaluations and usually needs far fewer.  The
-    result is always on the side where the condition holds:
-    0 <= margin(nu*) <= margin_tol, so the condition holds at nu* and,
-    the margin being increasing, for every larger order in the bracket.
+    The margin rhs - lhs strictly increases in nu.  For n >= 1, c_n(nu)
+    is Gamma(nu+1)/Gamma(nu+1+n/2) times a factor free of nu, which
+    strictly decreases on nu > -1 because psi is increasing (DLMF 5.15);
+    c_0 = 1.  Each lhs is a scale > 0 times sum_k w_k s_k, less a
+    constant, and s_k = S^(k)(1) weighs c_n by the falling factorial
+    n(n-1)...(n-k+1) >= 0.  Every `_RULES` weight is >= 0 for lambda,
+    alpha in [0, 1), and w1 > 0 gives c_1 a positive weight, so the lhs
+    strictly decreases.
+
+    Guarded false position (Illinois) on that margin: the first step is
+    the midpoint, and any later pair of steps that fails to halve the
+    bracket is followed by a midpoint, so the solver never needs more than
+    about twice bisection's log2((hi-lo)/ulp) evaluations and usually
+    needs far fewer.  The result is always on the side where the
+    condition holds: 0 <= margin(nu*) <= margin_tol, so the condition
+    holds at nu* and, the margin being increasing, for every larger order
+    in the bracket.
 
     ``margin_tol`` alone decides when to stop.  A bracket narrower than
     ``nu_tol`` whose ends miss it is narrowed further, down to a few ulp,
@@ -375,7 +384,7 @@ def critical_nu(condition: str, p: ClassParams,
     reaching ``margin_tol``; `BracketError` when the endpoint margins do not
     straddle zero; and `MonotonicityError` when a margin escapes the
     [margin(lo), margin(hi)] envelope of the current bracket by more than
-    rounding slack.
+    rounding slack, which the argument above leaves to numerical trouble.
     """
     for name, value in (("margin_tol", margin_tol), ("nu_tol", nu_tol)):
         if not (math.isfinite(value) and value >= 0.0):

@@ -142,10 +142,11 @@ def ode_residual(nu, z, tol: float = 1e-12) -> float:
     """|S''(z) + (2nu+1)(S'(z) - S'(0))/z - S(z)| from the truncated series.
 
     The kernel satisfies this identity termwise, so the residual measures
-    truncation plus rounding only; it stays below 10*tol.  At z = 0 the
-    removable singularity is replaced by the lowest-order coefficient
-    identity |(4nu+4)c_2 - c_0|.  The boundary nu = -1/2 is accepted: the
-    singular factor 2nu+1 vanishes there.
+    truncation plus rounding only; it stays below 10*tol.  The quotient is
+    summed as its own series sum_k (k+2) c_{k+2} z^k, so its rounding does
+    not grow as z -> 0.  At z = 0 the removable singularity is replaced by
+    the lowest-order coefficient identity |(4nu+4)c_2 - c_0|.  The boundary
+    nu = -1/2 is accepted: the singular factor 2nu+1 vanishes there.
     """
     order = _as_order(nu)
     if order.nu < -0.5:
@@ -155,12 +156,12 @@ def ode_residual(nu, z, tol: float = 1e-12) -> float:
     z = complex(z)
     if z == 0:
         return abs((4.0 * order.nu + 4.0) * vals[2] - vals[0])
-    d1 = [(k + 1) * vals[k + 1] for k in range(len(vals) - 1)]
+    q1 = [(k + 2) * vals[k + 2] for k in range(len(vals) - 2)]
     d2 = [(k + 2) * (k + 1) * vals[k + 2] for k in range(len(vals) - 2)]
     s0 = complex(*kernels.horner(vals, z.real, z.imag))
-    s1 = complex(*kernels.horner(d1, z.real, z.imag))
+    s1 = complex(*kernels.horner(q1, z.real, z.imag))
     s2 = complex(*kernels.horner(d2, z.real, z.imag))
-    return abs(s2 + (2.0 * order.nu + 1.0) * (s1 - vals[1]) / z - s0)
+    return abs(s2 + (2.0 * order.nu + 1.0) * s1 - s0)
 
 
 # ----------------------------------------------------------------------------

@@ -348,6 +348,35 @@ class TestMarginMonotonicity:
             assert all(x < y for x, y in zip(values, values[1:]))
 
 
+    # the argument in `critical_nu`'s docstring: its premise on the
+    # weights, and its conclusion on the margin
+    RULE_KEYS = sorted(_RULES, key=lambda k: (k[0], k[1].value))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(key=st.sampled_from(RULE_KEYS), lam=TestCriteriaTable.UNIT,
+           alpha=TestCriteriaTable.UNIT)
+    def test_every_weight_is_nonnegative(self, key, lam, alpha):
+        w3, w2, w1, w0 = _RULES[key].weights(lam, alpha)
+        assert min(w3, w2, w1, w0) >= 0.0 and w1 > 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(key=st.sampled_from(RULE_KEYS), lam=TestCriteriaTable.UNIT,
+           alpha=TestCriteriaTable.UNIT,
+           nu1=st.floats(-0.5, 1e3, exclude_min=True), frac=st.floats(0.0, 1.0),
+           b=st.floats(-1.0, 0.99), a_gap=st.floats(1e-6, 2.0),
+           tau_abs=st.floats(1e-6, 1e3))
+    def test_margin_never_decreases(self, key, lam, alpha, nu1, frac, b,
+                                    a_gap, tau_abs):
+        low = nu1 + 1e-3 * (1.0 + nu1)
+        assume(low <= 1e3)
+        nu2 = min(low + frac * (1e3 - low), 1e3)
+        condition, form = key
+        d = (DixitPalParams(min(b + a_gap, 1.0), b, tau_abs)
+             if condition == "jnu" else None)
+        margin = margin_function(condition, ClassParams(lam, alpha), d, form)
+        assert margin(nu1) <= margin(nu2)
+
+
 class TestCriticalNu:
     def test_golden_fixture(self):
         nu_star = critical_nu("starlike", ClassParams(0.0, 0.0),

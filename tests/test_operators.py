@@ -229,6 +229,12 @@ class TestQOperator:
         with pytest.raises(DomainError):
             q_operator(-0.5, 10)
 
+    def test_envelope_at_one_is_refused(self):
+        # one ulp above nu = -1/2, c_1 rounds to 1.0000000000000004, so the
+        # envelope q = c_1 at n_terms = 1 reaches 1
+        with pytest.raises(ParameterError, match="before geometric decay"):
+            q_operator(-0.49999999999999994, 1)
+
     @pytest.mark.parametrize("n_terms", (12.5, True, "12", 0, -3))
     def test_n_terms_must_be_a_positive_integer(self, n_terms):
         with pytest.raises(ParameterError, match="n_terms must be"):

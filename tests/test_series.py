@@ -26,6 +26,7 @@ from besselstruve.verifier import _moment_identity_residuals
 from conftest import NU_GRID, disk_points, mp_class_weight, mp_weighted_tail
 
 _LN2 = math.log(2.0)
+_LN10 = math.log(10.0)
 
 
 def _log_coeff_direct(nu, n):
@@ -85,6 +86,22 @@ def _full_radius_search(nu, tol, radius):
             if ok and qr < 1.0 and term * qr / (1.0 - qr) <= tol:
                 return vals[: n + 1]
     raise AssertionError(f"no truncation for nu={nu}, |z|={radius}")
+
+
+def _dropped_tail(nu, radius, n):
+    """sum_{k>n} c_k radius^k at nu = -1/2 (c_k = 1/k!) or nu = 1/2
+    (c_k = 1/(k+1)!): the closed form e^r or (e^r - 1)/r minus the kept
+    terms, carried to 50 digits beyond those of e^r."""
+    import mpmath
+    with mpmath.workdps(50 + int(radius / _LN10) + 1):
+        r = mpmath.mpf(radius)
+        if nu == -0.5:
+            whole, shift = mpmath.exp(r), 0
+        else:
+            whole, shift = mpmath.expm1(r) / r, 1
+        kept = mpmath.fsum(r ** k / mpmath.factorial(k + shift)
+                           for k in range(n + 1))
+        return whole - kept
 
 
 def _termwise_moments(nu, tol):
@@ -268,6 +285,18 @@ class TestCoefficientSequence:
             assert got.m2 == ref.s2 + 3.0 * ref.s1 + ref.m0
             assert got.m3 == m3
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(nu=st.floats(math.log(1e-16), math.log(1e5 + 1.0)).map(
+               lambda u: math.exp(u) - 1.0))
+    def test_radius_one_envelope_stays_below_0_4245(self, nu):
+        # q peaks at c_3/c_2 -> 4/(3 pi) ~ 0.42441 as nu -> -1, so at
+        # radius 1 the search needs no cap on q below 1
+        vals = kernels.coefficient_table(nu, 60)
+        for n in range(2, 58):
+            if vals[n + 1] <= 0.0:
+                break
+            assert max(vals[n + 1] / vals[n], vals[n + 2] / vals[n + 1]) < 0.4245
+
     def test_cold_moments_builds_a_short_table(self, monkeypatch):
         # the first table covers the usual truncation (N = 11..17 at
         # tol 1e-12): at most 25 coefficients per cold moments call
@@ -329,6 +358,24 @@ class TestEvalKernel:
                         continue
                     assert series._truncated_table(nu, tol, 0, radius)[0] == \
                         _full_radius_search(nu, tol, radius)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nu=st.sampled_from((-0.5, 0.5)),
+           radius=st.floats(1.0, 80.0, exclude_min=True),
+           tol=st.floats(math.log(1e-15), math.log(0.5)).map(math.exp))
+    def test_outside_unit_disk_tail_is_sound(self, nu, radius, tol):
+        # the tail returned past radius 1 bounds what the table drops
+        vals, tail, _ = series._truncated_table(nu, tol, 0, radius)
+        assert _dropped_tail(nu, radius, len(vals) - 1) <= tail
+
+    @pytest.mark.parametrize("nu", (-0.5, 0.5))
+    @pytest.mark.parametrize("radius", (60.0, 70.0, 80.0))
+    def test_underflow_accepted_tail_is_sound(self, nu, radius):
+        # the coefficients underflow first: the table is kept with a tail
+        # above tol but below 2^-53 of the sum, and that tail still holds
+        vals, tail, _ = series._truncated_table(nu, 1e-12, 0, radius)
+        assert tail > 1e-12
+        assert _dropped_tail(nu, radius, len(vals) - 1) <= tail
 
     @pytest.mark.parametrize("z", (1.5, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0))
     def test_expm1_far_outside_unit_disk(self, z):

@@ -212,6 +212,19 @@ class TestSuites:
         results = run_suites(("moments", "ode"), seed=2024)
         assert results and all(r.passed for r in results)
 
+    def test_ode_suite_at_a_sample_next_to_the_origin(self):
+        # seed 1097481192 samples |z| = 5.6e-8 at nu = 1, where dividing
+        # the rounded S'(z) - S'(0) by z read 1.798e-10 > 1e-10
+        results = run_suites(("ode",), seed=1097481192)
+        assert all(r.passed for r in results)
+        row = next(r for r in results if r.name == "ode residual nu=1.0")
+        assert row.detail == "max residual 1.030e-13"
+
+    def test_ode_suite_passes_on_300_seeds(self):
+        for seed in range(300):
+            for r in run_suites(("ode",), seed=seed):
+                assert r.passed, (seed, r)
+
     def test_seed_changes_not_verdicts(self):
         for seed in (1, 99):
             results = run_suites(("necessity",), seed=seed)

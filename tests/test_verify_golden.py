@@ -6,7 +6,10 @@ printed residual and diff digits.  The "moment identities" lines were
 rewritten once more when they began to print the residuals of the kernel
 ODE at z = 1 and the contiguous relation in nu, which replaced the
 rounding residuals between two termwise moment families; no other line
-moved.  Later changes must leave the output unchanged.  A golden file can
+moved.  The "ode residual" details moved in their last one or two digits
+when `ode_residual` began to sum (S'(z) - S'(0))/z as its own series
+instead of dividing a rounded difference by z.  Later changes must leave
+the output unchanged.  A golden file can
 be reproduced with
 ``besselstruve verify --seed <s> > tests/data/verify_seed<s>.txt``.
 """
