@@ -246,6 +246,7 @@ def _truncated_table(nu: float, tol: float, power: int, radius: float = 1.0):
     size, start, terms = _FIRST_SIZE, 2, []
     while True:
         vals = kernels.coefficient_table(nu, min(size, _MAX_TERMS + 2))
+        stop = len(vals) - 2
         if radius == 1.0:
             terms = vals
         else:
@@ -253,7 +254,9 @@ def _truncated_table(nu: float, tol: float, power: int, radius: float = 1.0):
             terms = terms or [1.0, vals[1] * radius]
             for k in range(len(terms), len(vals)):
                 terms.append(terms[k - 2] * r2 / (k * (k + two_nu)))
-        for n in range(start, len(vals) - 2):
+            if 0.0 in vals[start + 1:stop + 1]:
+                stop = vals.index(0.0, start + 1)  # the table runs out here
+        for n in range(start, stop):
             t = terms[n]
             t1 = terms[n + 1]
             if t <= 0.0 or t1 <= 0.0:
@@ -266,21 +269,24 @@ def _truncated_table(nu: float, tol: float, power: int, radius: float = 1.0):
                 tail = _weighted_tail(t, q, *_power_weights(n, power))
                 if tail <= tol:
                     return vals[: n + 1], tail, q
-            if vals[n + 1] <= 0.0:  # only past radius 1
-                total = reduce(add, terms[: n + 1])
-                if not max(t1, terms[n + 2], total) < math.inf:
-                    raise ParameterError(
-                        f"S_nu at |z|={radius!r} (nu={nu!r}) overflows a double")
-                if q < 1.0:
-                    tail = _weighted_tail(t, q, *_power_weights(n, power))
-                else:
-                    tail = math.inf
-                if tail <= 2.0 ** -53 * total:
-                    return vals[: n + 1], tail, q
+        if vals[stop] <= 0.0:
+            # Only past radius 1: n = stop - 1 failed and the table holds no
+            # more terms.  The coefficients underflow within a few hundred
+            # terms, and an overflowed term stays inf along its parity and
+            # fails q < 1, so overflow needs testing here only.  Summed left
+            # to right: `sum` compensates from Python 3.12 on.
+            total = reduce(add, terms[: n + 1])
+            if not max(t1, terms[n + 2], total) < math.inf:
                 raise ParameterError(
-                    f"S_nu at |z|={radius!r} (nu={nu!r}) cannot reach tol={tol!r}: "
-                    f"the coefficients underflow while the dropped tail is "
-                    f"{tail:.3e}, above 2^-53 of the sum {total:.3e}")
+                    f"S_nu at |z|={radius!r} (nu={nu!r}) overflows a double")
+            tail = (_weighted_tail(t, q, *_power_weights(n, power))
+                    if q < 1.0 else math.inf)
+            if tail <= 2.0 ** -53 * total:
+                return vals[: n + 1], tail, q
+            raise ParameterError(
+                f"S_nu at |z|={radius!r} (nu={nu!r}) cannot reach tol={tol!r}: "
+                f"the coefficients underflow while the dropped tail is "
+                f"{tail:.3e}, above 2^-53 of the sum {total:.3e}")
         if size >= _MAX_TERMS:
             raise RuntimeError(
                 f"no geometric tail within {_MAX_TERMS} terms for nu={nu}; "

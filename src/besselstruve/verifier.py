@@ -156,12 +156,12 @@ def ode_residual(nu, z, tol: float = 1e-12) -> float:
     z = complex(z)
     if z == 0:
         return abs((4.0 * order.nu + 4.0) * vals[2] - vals[0])
-    q1 = [(k + 2) * vals[k + 2] for k in range(len(vals) - 2)]
+    dq = [(k + 2) * vals[k + 2] for k in range(len(vals) - 2)]
     d2 = [(k + 2) * (k + 1) * vals[k + 2] for k in range(len(vals) - 2)]
     s0 = complex(*kernels.horner(vals, z.real, z.imag))
-    s1 = complex(*kernels.horner(q1, z.real, z.imag))
+    quot = complex(*kernels.horner(dq, z.real, z.imag))
     s2 = complex(*kernels.horner(d2, z.real, z.imag))
-    return abs(s2 + (2.0 * order.nu + 1.0) * s1 - s0)
+    return abs(s2 + (2.0 * order.nu + 1.0) * quot - s0)
 
 
 # ----------------------------------------------------------------------------
