@@ -347,7 +347,6 @@ class TestMarginMonotonicity:
             values = [margin(nu) for nu in grid]
             assert all(x < y for x, y in zip(values, values[1:]))
 
-
     # the argument in `critical_nu`'s docstring: its premise on the
     # weights, and its conclusion on the margin
     RULE_KEYS = sorted(_RULES, key=lambda k: (k[0], k[1].value))

@@ -9,8 +9,7 @@ rounding residuals between two termwise moment families; no other line
 moved.  The "ode residual" details moved in their last one or two digits
 when `ode_residual` began to sum (S'(z) - S'(0))/z as its own series
 instead of dividing a rounded difference by z.  Later changes must leave
-the output unchanged.  A golden file can
-be reproduced with
+the output unchanged.  A golden file can be reproduced with
 ``besselstruve verify --seed <s> > tests/data/verify_seed<s>.txt``.
 """
 
