@@ -29,7 +29,7 @@ from .errors import (BesselStruveError, BracketError, DomainError,
 from .operators import (Outcome, coefficient_sum_L, coefficient_sum_T,
                         read_series)
 from .series import (_operator_order, coefficient_sequence, eval_kernel,
-                     eval_normalized, eval_phi, moments)
+                     moments)
 from .verifier import SUITE_NAMES, run_suites
 
 EXIT_HOLDS = 0
@@ -39,8 +39,6 @@ EXIT_INCONCLUSIVE = 3
 
 _CONFIG_KEYS = {
     "tol": float,
-    "radius": float,
-    "points": int,
     "margin_tol": float,
     "nu_tol": float,
     "seed": int,
@@ -48,8 +46,6 @@ _CONFIG_KEYS = {
 
 _DEFAULTS = {
     "tol": 1e-12,
-    "radius": 0.99,
-    "points": 512,
     "margin_tol": 1e-10,
     "nu_tol": 1e-10,
     "seed": 2024,
@@ -148,13 +144,11 @@ def _cmd_eval(args) -> int:
     # every value first, so an error leaves stdout empty
     seq = coefficient_sequence(args.nu, tol)
     s = eval_kernel(args.nu, z, tol)
-    normalized = eval_normalized(args.nu, z, tol)
-    phi = eval_phi(args.nu, z, tol)
     m = moments(args.nu, tol)
     print(f"nu = {_fmt(args.nu)}   z = {z}   tol = {_fmt(tol)}")
     print(f"S(z)        = {s}")
-    print(f"z*S(z)      = {normalized}")
-    print(f"z*(2-S(z))  = {phi}")
+    print(f"z*S(z)      = {z * s}")
+    print(f"z*(2-S(z))  = {z * (2.0 - s)}")
     for k, val in enumerate((m.s0, m.s1, m.s2, m.s3)):
         label = "S" + "'" * k + "(1)"
         print(f"{label.ljust(12)}= {_fmt(val)}")

@@ -24,8 +24,8 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from . import _pykernels as kernels
-from .criteria import (ClassParams, ConditionForm, DixitPalParams, jnu_condition,
-                       l_condition, qnu_condition, t_condition)
+from .criteria import (ClassParams, ConditionForm, DixitPalParams, _evaluate,
+                       _rule, l_condition, qnu_condition, t_condition)
 from .errors import DenominatorDegeneracyError, DomainError, ParameterError
 from .operators import (NormalizedSeries, Outcome, bessel_struve_transform,
                         coefficient_sum_L, coefficient_sum_T, kernel_series,
@@ -420,9 +420,13 @@ def sample_sufficiency_tuples(condition: str, count: int, seed: int,
     """Seeded (nu, params...) tuples whose margin clears the gate.
 
     Rejection-samples nu upward of the critical region so the disk checks
-    stay away from equality cases.
+    stay away from equality cases.  The margin is the criteria table's
+    (`criteria._evaluate`, proof form, tol 1e-12); (A, B, |tau|) is drawn
+    only for a Dixit-Pal condition, and starlike and convex take lambda = 0
+    there, whatever lambda is drawn.
     """
     rng = random.Random((seed, condition, "sufficiency").__repr__())
+    dixit_pal = _rule(condition)[1].dixit_pal
     out = []
     attempts = 0
     while len(out) < count:
@@ -433,25 +437,14 @@ def sample_sufficiency_tuples(condition: str, count: int, seed: int,
         alpha = rng.uniform(0.0, 0.8)
         p = ClassParams(lam, alpha)
         nu = rng.uniform(2.0, 40.0)
-        if condition == "t":
-            margin = t_condition(nu, p).margin
-            item = (nu, p, None)
-        elif condition == "l":
-            margin = l_condition(nu, p).margin
-            item = (nu, p, None)
-        elif condition == "jnu":
+        d = None
+        if dixit_pal:
             bb = rng.uniform(-1.0, 0.9)
             aa = rng.uniform(bb + 0.05, 1.0)
             d = DixitPalParams(aa, bb, rng.uniform(0.1, 1.0))
-            margin = jnu_condition(nu, p, d).margin
-            item = (nu, p, d)
-        elif condition == "qnu":
-            margin = qnu_condition(nu, p).margin
-            item = (nu, p, None)
-        else:
-            raise ParameterError(f"unknown condition {condition!r}")
-        if margin >= gate:
-            out.append(item)
+        if _evaluate(condition, nu, p, d, ConditionForm.PROOF,
+                     1e-12).margin >= gate:
+            out.append((nu, p, d))
     return out
 
 

@@ -233,11 +233,13 @@ class TestConfig:
         assert "tol = 1e-08" in out
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
+        # radius and points were once accepted although nothing read them
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("volume = 11\n")
-        code, _, _ = run(capsys, "eval", "--nu", "1", "--z", "0",
-                         "--config", str(cfg))
-        assert code == 2
+        for text in ("volume = 11\n", "radius = 0.5\n", "points = 64\n"):
+            cfg.write_text(text)
+            code, _, err = run(capsys, "eval", "--nu", "1", "--z", "0",
+                               "--config", str(cfg))
+            assert code == 2 and "unknown config key" in err
 
     def test_missing_config_rejected(self, capsys):
         code, _, _ = run(capsys, "eval", "--nu", "1", "--z", "0",
@@ -272,7 +274,7 @@ class TestParser:
 # series files with a bad value, written for `TestErrorPaths`
 _BAD_FILES = {"nan_coeff": "2 0.5\n3 nan\n", "inf_coeff": "2 inf\n",
               "nan_tail": "# tail_bound: nan\n2 0.1\n",
-              "float_cfg": "# defaults\ntol = abc\n", "int_cfg": "points = 1.5\n"}
+              "float_cfg": "# defaults\ntol = abc\n", "int_cfg": "seed = 1.5\n"}
 
 
 class TestErrorPaths:
@@ -320,7 +322,7 @@ class TestErrorPaths:
          "error: {float_cfg}:2: bad tol value: could not convert string to "
          "float: 'abc'"),
         (("eval", "--nu", "1", "--z", "0.5", "--config", "{int_cfg}"),
-         "error: {int_cfg}:1: bad points value: invalid literal for int()"),
+         "error: {int_cfg}:1: bad seed value: invalid literal for int()"),
         (("scan", "t", "--nu", "1", "--lambda", "0:1.5:3", "--alpha", "0:1.2:2",
           "--output", "{out}"),
          "error: alpha must lie in [0, 1), got 1.2"),
@@ -343,6 +345,11 @@ class TestErrorPaths:
         (("check", "l", "--series-file", "{missing}", "--A", "0.5", "--B=-0.5",
           "--tau-abs", "1"),
          "error: condition 'l' takes no DixitPalParams"),
+        # past the unit disk a value whose rounding bound exceeds tol/2 is
+        # refused, not printed wrong
+        (("eval", "--nu", "0.3", "--z", "50j"), "error: S_nu at |z|="),
+        (("eval", "--nu", "0.3", "--z", "-40"), "error: S_nu at |z|="),
+        (("eval", "--nu", "0.3", "--z", "30j"), "error: S_nu at |z|="),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, argv, first_words):
         paths = {"missing": str(tmp_path / "missing.txt"),

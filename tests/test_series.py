@@ -11,7 +11,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from besselstruve import (ClassParams, CoefficientSequence, DomainError,
@@ -104,6 +104,25 @@ def _dropped_tail(nu, radius, n):
         return whole - kept
 
 
+def _mp_kernel(nu, z):
+    """S_nu(z) from the literal Gamma-quotient coefficients, summed at 60
+    digits plus one per factor 10 in e^|z|, past n = 2|z| until two
+    consecutive terms fall below 1e-80."""
+    import mpmath
+    r = abs(z)
+    with mpmath.workdps(60 + int(r / _LN10)):
+        v, w = mpmath.mpf(nu), mpmath.mpc(z)
+        head = mpmath.gamma(v + 1) / mpmath.sqrt(mpmath.pi)
+        total, prev, n = mpmath.mpf(0), mpmath.inf, 0
+        while True:
+            term = (head * mpmath.gamma(mpmath.mpf(n + 1) / 2) * w ** n
+                    / (mpmath.factorial(n) * mpmath.gamma(n / 2 + v + 1)))
+            total += term
+            if n > 2 * r and max(abs(term), abs(prev)) < 1e-80:
+                return complex(total)
+            prev, n = term, n + 1
+
+
 def _termwise_moments(nu, tol):
     """Reference moments: one generator-expression fsum per field."""
     vals, _, _ = _full_search(nu, tol, 3)
@@ -177,6 +196,30 @@ class TestKernelCoefficient:
                 import mpmath
                 assert log_kernel_coefficient(nu, n) == pytest.approx(
                     float(mpmath.log(with_mp)), abs=1e-11)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(nu=st.one_of(
+               st.floats(math.log(1e-16), math.log(1e300)).map(
+                   lambda u: math.exp(u) - 1.0),
+               st.floats(-1.0, 20.0, exclude_min=True)),
+           n=st.one_of(st.sampled_from((1, 3)), st.integers(0, 40),
+                       st.integers(0, 10_000)))
+    def test_log_variant_within_4_ulp(self, nu, n):
+        # nu + 1 log-uniform in [1e-16, 1e300], or nu uniform in (-1, 20]
+        # where c_1 alone would take an lgamma difference; n = 1 and 3
+        # show the error of log c_1 best.  The reference carries 60
+        # digits beyond those of nu + 1, which a fixed precision would
+        # round to nu past 1e60.  The scale includes |log(nu + 1)|: log c_n
+        # holds log Gamma(nu + 1) ~ -log(nu + 1), which near nu = -1 can
+        # far exceed log c_n and is itself a double only to its ulp.
+        import mpmath
+        with mpmath.workdps(60 + max(0, int(math.log10(nu + 1.0)))):
+            v, h = mpmath.mpf(nu), mpmath.mpf(n) / 2
+            ref = float(mpmath.loggamma(v + 1) + mpmath.loggamma(h + 0.5)
+                        - mpmath.log(mpmath.pi) / 2 - mpmath.loggamma(n + 1)
+                        - mpmath.loggamma(h + v + 1))
+        scale = max(abs(ref), abs(math.log1p(nu)), 1.0)
+        assert abs(log_kernel_coefficient(nu, n) - ref) <= 4 * math.ulp(scale)
 
     def test_domain_and_index_errors(self):
         with pytest.raises(DomainError):
@@ -346,43 +389,69 @@ class TestEvalKernel:
 
     def test_outside_unit_disk_table_matches_full_search(self):
         # tables for |z| > 1 grow and resume the scan; the reference
-        # rescans every doubled table from n = 1.  At |z| = 400 and
-        # nu <= 40 the coefficients underflow while the terms still grow:
-        # the reference reads that as a zero tail, the search refuses it
+        # rescans every doubled table from n = 1.  Where the reference
+        # stops only because the next coefficient underflowed (a zero
+        # tail to it), the table has run out and the search refuses
         for nu in (-0.999, -0.49, 0.0, 2.0, 40.0, 1e5):
             for radius in (1.01, 2.0, 7.5, 60.0, 400.0):
                 for tol in (1e-6, 1e-12, 1e-300):
-                    if radius == 400.0 and nu <= 40.0:
+                    ref = _full_radius_search(nu, tol, radius)
+                    if kernels.coefficient_table(nu, len(ref))[-1] == 0.0:
                         with pytest.raises(ParameterError, match="underflow"):
                             series._truncated_table(nu, tol, 0, radius)
                         continue
-                    assert series._truncated_table(nu, tol, 0, radius)[0] == \
-                        _full_radius_search(nu, tol, radius)
+                    assert series._truncated_table(nu, tol, 0, radius)[0] == ref
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(nu=st.sampled_from((-0.5, 0.5)),
            radius=st.floats(1.0, 80.0, exclude_min=True),
            tol=st.floats(math.log(1e-15), math.log(0.5)).map(math.exp))
     def test_outside_unit_disk_tail_is_sound(self, nu, radius, tol):
-        # the tail returned past radius 1 bounds what the table drops
-        vals, tail, _ = series._truncated_table(nu, tol, 0, radius)
-        assert _dropped_tail(nu, radius, len(vals) - 1) <= tail
-
-    @pytest.mark.parametrize("nu", (-0.5, 0.5))
-    @pytest.mark.parametrize("radius", (60.0, 70.0, 80.0))
-    def test_underflow_accepted_tail_is_sound(self, nu, radius):
-        # the coefficients underflow first: the table is kept with a tail
-        # above tol but below 2^-53 of the sum, and that tail still holds
-        vals, tail, _ = series._truncated_table(nu, 1e-12, 0, radius)
-        assert tail > 1e-12
+        # the tail returned past radius 1 bounds what the table drops; a
+        # table that runs out first is refused
+        try:
+            vals, tail, _ = series._truncated_table(nu, tol, 0, radius)
+        except ParameterError as exc:
+            assert "underflow" in str(exc)
+            return
+        assert tail <= tol
         assert _dropped_tail(nu, radius, len(vals) - 1) <= tail
 
     @pytest.mark.parametrize("z", (1.5, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0))
     def test_expm1_far_outside_unit_disk(self, z):
-        # S_{1/2}(z) = expm1(z)/z; past |z| = 1 the tail is held below
-        # tol, or below 2^-53 of the sum once the coefficients underflow
+        # S_{1/2}(z) = expm1(z)/z: within tol, or refused once Horner's
+        # rounding bound exceeds tol/2, which at tol 1e-12 is past |z| = 5
         ref = math.expm1(z) / z
-        assert abs(eval_kernel(0.5, z).real - ref) <= max(1e-12, 4e-15 * ref)
+        try:
+            got = eval_kernel(0.5, z)
+        except ParameterError as exc:
+            assert z > 5.0 and str(exc).startswith("S_nu at |z|=")
+            return
+        assert abs(got.real - ref) <= 1e-12
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(nu=st.one_of(
+               st.floats(math.log(1e-3), math.log(1e3)).map(
+                   lambda u: math.exp(u) - 0.5),
+               st.floats(-1.0, -0.5, exclude_min=True, exclude_max=True)),
+           radius=st.floats(0.0, math.log(60.0), exclude_min=True).map(
+               math.exp),
+           arg=st.floats(-math.pi, math.pi),
+           tol=st.floats(math.log(1e-14), math.log(1e-3)).map(math.exp))
+    def test_outside_unit_disk_within_tol_or_refused(self, nu, radius, arg,
+                                                     tol):
+        # nu + 1/2 log-uniform in [1e-3, 1e3] or nu in (-1, -1/2), |z|
+        # log-uniform in (1, 60], any arg z: every value returned is within
+        # tol of the series summed at 60 digits plus those that cancel
+        # against S_nu(|z|)
+        z = cmath.rect(radius, arg)
+        assume(abs(z) > 1.0)
+        try:
+            got = eval_kernel(nu, z, tol)
+        except ParameterError as exc:
+            assert str(exc).startswith("S_nu at |z|=")
+            return
+        assert abs(got - _mp_kernel(nu, z)) <= tol
 
     @pytest.mark.parametrize("nu, z", ((0.5, 150.0), (0.5, 200.0), (0.0, -400.0),
                                        (1.0, 1e300), (1.0, complex(1e308, 1e308))))
