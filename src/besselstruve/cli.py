@@ -28,8 +28,7 @@ from .errors import (BesselStruveError, BracketError, DomainError,
                      InconclusiveError, ParameterError)
 from .operators import (Outcome, coefficient_sum_L, coefficient_sum_T,
                         read_series)
-from .series import (_operator_order, coefficient_sequence, eval_kernel,
-                     moments)
+from .series import _eval_kernel, _operator_order, moments
 from .verifier import SUITE_NAMES, run_suites
 
 EXIT_HOLDS = 0
@@ -142,8 +141,7 @@ def _cmd_eval(args) -> int:
     tol = _resolve(args, cfg, "tol")
     z = complex(args.z)
     # every value first, so an error leaves stdout empty
-    seq = coefficient_sequence(args.nu, tol)
-    s = eval_kernel(args.nu, z, tol)
+    s, n_top, tail = _eval_kernel(args.nu, z, tol)
     m = moments(args.nu, tol)
     print(f"nu = {_fmt(args.nu)}   z = {z}   tol = {_fmt(tol)}")
     print(f"S(z)        = {s}")
@@ -152,8 +150,7 @@ def _cmd_eval(args) -> int:
     for k, val in enumerate((m.s0, m.s1, m.s2, m.s3)):
         label = "S" + "'" * k + "(1)"
         print(f"{label.ljust(12)}= {_fmt(val)}")
-    print(f"truncation  : N = {seq.truncation_index}, "
-          f"tail bound = {_fmt(seq.tail_bound)}")
+    print(f"truncation  : N = {n_top}, tail bound = {_fmt(tail)}")
     return EXIT_HOLDS
 
 

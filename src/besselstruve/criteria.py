@@ -250,7 +250,7 @@ def _evaluate(condition: str, nu, p: ClassParams, d: Optional[DixitPalParams],
     call."""
     order = _operator_order(nu)
     form, cell, rhs, scale, shift = _prepare(condition, p, d, form)
-    sums = _moment_sums(order.nu, _check_tol(tol))[:4]
+    sums = _moment_sums(order.nu, _check_tol(tol))
     lhs, = _lhs_slab(sums, cell, scale, shift)
     return _verdict(lhs, rhs, form)
 
@@ -341,7 +341,7 @@ def margin_function(condition: str, p: ClassParams,
     def margin(nu: float) -> float:
         if type(nu) is not float or not -0.5 < nu < math.inf:
             nu = _operator_order(nu).nu
-        lhs, = _lhs_slab(_moment_sums(nu, tol)[:4], cell, scale, shift)
+        lhs, = _lhs_slab(_moment_sums(nu, tol), cell, scale, shift)
         return rhs - lhs
 
     return margin

@@ -46,6 +46,11 @@ _MAX_TERMS = 10_000
 _FIRST_SIZE = 24
 # Covers the rounding error of the closed-form tail bound (`_weighted_tail`).
 _TAIL_ROUND_UP = 1.0 + 1e-14
+# The radius-1 scan skips an index n with c_{n+1} >= _SKIP_FLOOR and
+# c_{n+1} * (n+2)^power * _SKIP_SHRINK > tol; the shrink covers six roundings
+# of 2^-53 (see `_truncated_table`).
+_SKIP_FLOOR = 1e-280
+_SKIP_SHRINK = 1.0 - 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -241,6 +246,24 @@ def _truncated_table(nu: float, tol: float, power: int, radius: float = 1.0):
     c_3/c_2, which tends to 4/(3 pi) ~ 0.42441 as nu -> -1), so the test
     q < 1 binds only past radius 1.
 
+    At radius 1 the scan starts past the indices it can prove fail that
+    prune.  Write x = c_{n+1}, K = (n+2)^power and u = 2^-53.  The prune
+    forms c_n * q * K with q >= fl(x / c_n).  If x >= _SKIP_FLOOR, every
+    value it rounds is a normal double (for n >= 2, c_n <= c_2 =
+    1/(4(nu+1)) <= 2^51, so x / c_n > 2^-1000), each of its four roundings
+    (quotient, product, power, product) costs at most u relative, and it
+    reads at least x K (1 - u)^4.  The skip test
+    fl(x * fl(K * _SKIP_SHRINK)) > tol gives x K (1 - 8u)(1 + u)^2 > tol,
+    and the left side is below x K (1 - u)^4: the index fails the prune.
+    For n >= 2, x K strictly decreases with n: c_{n+2} / c_{n+1} < 0.4245
+    and ((n+3)/(n+2))^3 <= (5/4)^3 < 1.954, so each step multiplies it by
+    less than 0.83 (tests check both on the table's own entries).  The
+    bisection over [start, stop) moves its lower end only past an index
+    that passes the skip test, so every index it passes over has a larger
+    x K and a larger x, and fails the prune too.  Their c_n and c_{n+1}
+    are normal, so none of them would have taken the underflow exit
+    either: the scan returns what a scan from start would.
+
     The scan starts on a table of _FIRST_SIZE + 1 entries, which covers the
     usual truncation; when no index passes, the table doubles and the scan
     resumes where it stopped (a table is a prefix of any longer one).  Past
@@ -255,6 +278,15 @@ def _truncated_table(nu: float, tol: float, power: int, radius: float = 1.0):
         stop = len(vals) - 2
         if radius == 1.0:
             terms = vals
+            hi = stop
+            while start < hi:
+                mid = (start + hi) // 2
+                x = vals[mid + 1]
+                if (x >= _SKIP_FLOOR
+                        and x * ((mid + 2) ** power * _SKIP_SHRINK) > tol):
+                    start = mid + 1
+                else:
+                    hi = mid
         else:
             r2, two_nu = radius * radius, 2.0 * nu
             terms = terms or [1.0, vals[1] * radius]
@@ -328,6 +360,15 @@ def eval_kernel(nu, z, tol: float = 1e-12) -> complex:
     and for a non-finite z, ParameterError is raised.  The coefficients'
     own rounding (`kernel_coefficient`) is not part of the bound.
     """
+    return _eval_kernel(nu, z, tol)[0]
+
+
+def _eval_kernel(nu, z, tol: float):
+    """`eval_kernel` with the truncation it summed: (S_nu(z), N, tail bound).
+
+    For |z| <= 1 that is the radius-1 table at tol; past the unit disk the
+    radius-|z| table at tol/2.
+    """
     order = _as_order(nu)
     tol = _check_tol(tol)
     z = complex(z)
@@ -335,9 +376,9 @@ def eval_kernel(nu, z, tol: float = 1e-12) -> complex:
         raise ParameterError(f"z must be finite, got {z!r}")
     az = abs(z)
     if az <= 1.0:
-        vals, _, _ = _cached_table(order.nu, tol, 0)
+        vals, tail, _ = _cached_table(order.nu, tol, 0)
     else:
-        vals = _truncated_table(order.nu, 0.5 * tol, 0, az)[0]
+        vals, tail, _ = _truncated_table(order.nu, 0.5 * tol, 0, az)
         mu = len(vals) * 2.0 ** -53
         bound = (4.0 * mu / (1.0 - 4.0 * mu) * kernels.horner(vals, az, 0.0)[0]
                  / (1.0 - 2.0 * mu))
@@ -347,7 +388,7 @@ def eval_kernel(nu, z, tol: float = 1e-12) -> complex:
                 f"to tol={tol!r}: Horner's rounding bound {bound:.3e} "
                 f"exceeds tol/2")
     re, im = kernels.horner(vals, z.real, z.imag)
-    return complex(re, im)
+    return complex(re, im), len(vals) - 1, tail
 
 
 def eval_normalized(nu, z, tol: float = 1e-12) -> complex:
@@ -364,31 +405,37 @@ def eval_phi(nu, z, tol: float = 1e-12) -> complex:
 
 @lru_cache(maxsize=None)
 def _moment_weights(bits: int):
-    """Integer weights of s1..s3 for table indices 0..2**bits - 1.
+    """Weights of s1..s3 for table indices 0..2**bits - 1, as floats.
 
     Index m carries the falling factorial m(m-1)...(m-k+1) that s_k
-    multiplies c_m by, so each int * float product is the termwise one bit
-    for bit.  `map` stops at the table's end, and fsum is exact in any
+    multiplies c_m by.  A table has fewer than 2**14 entries, so every
+    weight is an integer below 2**42 and exact as a float; each float
+    product is then the termwise int * float one bit for bit, and cheaper
+    to form.  `map` stops at the table's end, and fsum is exact in any
     order, so the sums equal the termwise ones.
     """
     ms = range(1 << bits)
     return (
-        tuple(ms),
-        tuple(m * (m - 1) for m in ms),
-        tuple(m * (m - 1) * (m - 2) for m in ms),
+        tuple(float(m) for m in ms),
+        tuple(float(m * (m - 1)) for m in ms),
+        tuple(float(m * (m - 1) * (m - 2)) for m in ms),
     )
 
 
 def _moment_sums(nu: float, tol: float):
-    """(s_0, s_1, s_2, s_3, m_0): S_nu and its first three derivatives at
-    z = 1, and the sum of the table past c_0.
+    """(s_0, s_1, s_2, s_3): S_nu and its first three derivatives at z = 1.
 
     ``nu`` must be a float > -1 and ``tol`` a checked tolerance.  The sums
     read the `_cached_table` entry; its truncation is chosen so even the
     (n+1)^3-weighted tail, that of m_3, is below tol, and each sum is an
     exact sum of the table entries times integers, rounded once.  No double
     near the largest moment value, max(s0, m3), resolves a tol below its
-    ulp: such a tol raises ParameterError.
+    ulp: such a tol raises ParameterError.  m_0 = fsum(c_1..c_N), which
+    m_3 needs, is summed only when a bound cannot settle the test.  Both
+    fsums round correctly over nonnegative terms, so m_0 <= s_0, and
+    rounding is monotone, so s3 + 6 s2 + 7 s1 + s0, formed in m_3's order,
+    is at least max(s0, m3).  While the ulp of that bound is at most tol,
+    so is the ulp of max(s0, m3), and nothing is refused.
     """
     vals = _cached_table(nu, tol, 3)[0]
     fsum = math.fsum
@@ -397,25 +444,26 @@ def _moment_sums(nu: float, tol: float):
     s1 = fsum(map(mul, w1, vals))
     s2 = fsum(map(mul, w2, vals))
     s3 = fsum(map(mul, w3, vals))
-    m0 = fsum(vals[1:])
-    top = max(s0, s3 + 6.0 * s2 + 7.0 * s1 + m0)
-    if math.ulp(top) > tol:
-        raise ParameterError(
-            f"moments at nu={nu!r} cannot reach tol={tol!r}: the largest "
-            f"value {top:.6g} is resolved only to its ulp {math.ulp(top):.3e}")
-    return s0, s1, s2, s3, m0
+    if math.ulp(s3 + 6.0 * s2 + 7.0 * s1 + s0) > tol:
+        top = max(s0, s3 + 6.0 * s2 + 7.0 * s1 + fsum(vals[1:]))
+        if math.ulp(top) > tol:
+            raise ParameterError(
+                f"moments at nu={nu!r} cannot reach tol={tol!r}: the largest "
+                f"value {top:.6g} is resolved only to its ulp {math.ulp(top):.3e}")
+    return s0, s1, s2, s3
 
 
 def moments(nu, tol: float = 1e-12) -> MomentSet:
     """m_k and s_k values at z = 1, each with truncation error <= tol.
 
-    s_0..s_3 and m_0 come from `_moment_sums`, which also raises
-    ParameterError for a tol below the ulp of max(s0, m3).  m_1..m_3 add
-    the s_k to m_0 with positive integer weights (see `MomentSet`), so
-    nothing cancels.
+    s_0..s_3 come from `_moment_sums`, which also raises ParameterError for
+    a tol below the ulp of max(s0, m3).  m_0 is the exact sum of the same
+    table past c_0, rounded once, and m_1..m_3 add the s_k to it with
+    positive integer weights (see `MomentSet`), so nothing cancels.
     """
     order = _as_order(nu)
     tol = _check_tol(tol)
-    s0, s1, s2, s3, m0 = _moment_sums(order.nu, tol)
+    s0, s1, s2, s3 = _moment_sums(order.nu, tol)
+    m0 = math.fsum(_cached_table(order.nu, tol, 3)[0][1:])
     m3 = s3 + 6.0 * s2 + 7.0 * s1 + m0
     return MomentSet(m0, s1 + m0, s2 + 3.0 * s1 + m0, m3, s0, s1, s2, s3, tol)

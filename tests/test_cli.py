@@ -29,6 +29,17 @@ class TestEval:
         s1_line = [l for l in out.splitlines() if l.startswith("S'(1)")][0]
         assert float(s1_line.split("=")[1]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("z, line", (
+        # past the unit disk the value sums the radius-|z| table at tol/2,
+        # not the radius-1 table (N = 14, tail bound 7.9e-14)
+        ("4j", "truncation  : N = 26, tail bound = 1.1915267839340785e-13"),
+        ("0.5", "truncation  : N = 14, tail bound = 7.9094577702028597e-14"),
+    ))
+    def test_truncation_line_names_the_table_summed(self, capsys, z, line):
+        code, out, _ = run(capsys, "eval", "--nu", "0.3", "--z", z)
+        assert code == 0
+        assert out.splitlines()[-1] == line
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "eval", "--nu", "-1.5", "--z", "0")
         assert code == 2

@@ -6,8 +6,9 @@ condition, lambda, alpha, the Dixit-Pal triple (jnu only), the bracket and
 alpha uniform in [0, 0.9) (lambda = 0 for starlike and convex), A, B and
 |tau| as its Dixit-Pal draw, and a bracket (lo, hi) with lo in [-0.45, 0)
 and hi in [20, 40) redrawn until its end margins straddle zero at
-tol = 1e-13.  Later changes must leave every nu* unchanged.  A golden file
-can be reproduced with
+tol = 1e-13.  Seed 11 holds 10 solves per condition and seed 12 holds 100.
+Later changes must leave every nu* unchanged.  A golden file can be
+reproduced with
 ``PYTHONPATH=src python tests/test_critical_golden.py <s> > tests/data/critical_seed<s>.txt``.
 """
 
@@ -23,7 +24,8 @@ from besselstruve import (ClassParams, DixitPalParams, convex_condition,
 
 DATA = Path(__file__).resolve().parent / "data"
 CONDITIONS = ("t", "l", "starlike", "convex", "jnu", "qnu")
-SOLVES_PER_CONDITION = 10
+# solves per condition in each golden file, by seed
+GOLDEN_SOLVES = {11: 10, 12: 100}
 
 
 def _margin(condition, nu, p, dp, tol):
@@ -55,11 +57,12 @@ def _draw(rng, condition):
             return p, dp, bracket
 
 
-def golden_lines(seed: int) -> list[str]:
+def golden_lines(seed: int, solves: int) -> list[str]:
+    """The golden file's lines: ``solves`` seeded solves per condition."""
     rng = random.Random(f"critical_golden:{seed}")
     lines = []
     for condition in CONDITIONS:
-        for _ in range(SOLVES_PER_CONDITION):
+        for _ in range(solves):
             p, dp, bracket = _draw(rng, condition)
             nu_star = critical_nu(condition, p, dp, bracket)
             dp_text = "-" if dp is None else f"{dp.a!r},{dp.b!r},{dp.tau_abs!r}"
@@ -69,11 +72,12 @@ def golden_lines(seed: int) -> list[str]:
     return lines
 
 
-@pytest.mark.parametrize("seed", (11,))
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SOLVES))
 def test_critical_matches_golden_lines(seed):
-    text = "".join(golden_lines(seed))
+    text = "".join(golden_lines(seed, GOLDEN_SOLVES[seed]))
     assert text == (DATA / f"critical_seed{seed}.txt").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
-    sys.stdout.write("".join(golden_lines(int(sys.argv[1]))))
+    seed = int(sys.argv[1])
+    sys.stdout.write("".join(golden_lines(seed, GOLDEN_SOLVES[seed])))

@@ -9,6 +9,8 @@ oracle in `verifier` confirms the rest.
 
 import cmath
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -303,15 +305,27 @@ class TestCoefficientSequence:
                     assert series._truncated_table(nu, tol, power) == \
                         _full_search(nu, tol, power)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(nu=st.floats(math.log(1e-12), math.log(1e5 + 1.0)).map(
-               lambda u: min(math.expm1(u), 1e5)),
-           tol=st.floats(math.log(1e-15), math.log(0.5)).map(math.exp),
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(nu=st.one_of(
+               st.floats(math.log(1e-12), math.log(1e5 + 1.0)).map(
+                   lambda u: min(math.expm1(u), 1e5)),
+               st.floats(math.log(1e-16), math.log(1e300)).map(
+                   lambda u: math.exp(u) - 1.0)),
+           tol=st.one_of(
+               st.floats(math.log(1e-15), math.log(0.5)).map(math.exp),
+               st.floats(math.log(5e-324), math.log(0.5)).map(math.exp)),
            power=st.integers(0, 3))
     def test_sized_search_and_moments_match_references(self, nu, tol, power):
-        # nu log-uniform in (-1, 1e5] through nu + 1
-        assert series._truncated_table(nu, tol, power) == \
-            _full_search(nu, tol, power)
+        # nu log-uniform in (-1, 1e5] or (-1, 1e300] through nu + 1, tol
+        # down to 5e-324.  The radius-1 scan starts past the indices a
+        # bisection proves fail the prune; it still returns the unpruned
+        # search's table, tail and q, also when tol is the accepted tail
+        # itself, where the first tail term sits within a few roundings of
+        # tol at large nu
+        got = series._truncated_table(nu, tol, power)
+        assert got == _full_search(nu, tol, power)
+        if got[1] > 0.0:
+            assert series._truncated_table(nu, got[1], power) == got
         # s0..s3 and m0 are the termwise fsums bit for bit, m1..m3 their
         # exact combinations, and the only refusal is a tol below the ulp
         # of the largest value
@@ -327,6 +341,21 @@ class TestCoefficientSequence:
             assert got.m1 == ref.s1 + ref.m0
             assert got.m2 == ref.s2 + 3.0 * ref.s1 + ref.m0
             assert got.m3 == m3
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(nu=st.floats(math.log(1e-16), math.log(1e300)).map(
+               lambda u: math.exp(u) - 1.0))
+    def test_skip_bound_strictly_decreases(self, nu):
+        # the premise of the skipped start: for n >= 2, c_{n+1} (n+2)^3
+        # shrinks by a factor below 0.83 per step, compared exactly on the
+        # table's own normal entries, so the first index that can pass the
+        # prune is found by bisection
+        vals = kernels.coefficient_table(nu, 200)
+        for n in range(2, 198):
+            if vals[n + 2] < sys.float_info.min:
+                break
+            assert (Fraction(vals[n + 2]) * (n + 3) ** 3
+                    < Fraction(83, 100) * Fraction(vals[n + 1]) * (n + 2) ** 3)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(nu=st.floats(math.log(1e-16), math.log(1e5 + 1.0)).map(
@@ -587,7 +616,50 @@ class TestMomentSums:
             return
         assert math.ulp(top) <= tol
         series._cached_table.cache_clear()
-        assert series._moment_sums(nu, tol) == (m.s0, m.s1, m.s2, m.s3, m.m0)
+        assert series._moment_sums(nu, tol) == (m.s0, m.s1, m.s2, m.s3)
+
+    @pytest.mark.parametrize("bits", (3, 9, 15, 21, 27))
+    def test_exact_floor_test_decides_near_a_binade(self, bits):
+        # m3 just below 2^bits with tol = ulp(m3): the cheap bound
+        # s3 + 6 s2 + 7 s1 + s0 crosses 2^bits, so only the exact test with
+        # m0 can tell that moments resolve this tol and not half of it
+        edge = 2.0 ** bits
+        tol = math.ulp(edge / 2.0)
+        lo, hi = -1.0 + 2.0 ** -40, 1e3
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if _termwise_moments(mid, tol).m3 > edge - 0.5:
+                lo = mid
+            else:
+                hi = mid
+        nu = hi
+        for t, refused in ((tol, False), (0.5 * tol, True)):
+            ref = _termwise_moments(nu, t)
+            m3 = ref.s3 + 6.0 * ref.s2 + 7.0 * ref.s1 + ref.m0
+            top = max(ref.s0, m3)
+            bound = ref.s3 + 6.0 * ref.s2 + 7.0 * ref.s1 + ref.s0
+            assert math.ulp(bound) > t and (math.ulp(top) > t) == refused
+            series._cached_table.cache_clear()
+            if refused:
+                with pytest.raises(ParameterError) as info:
+                    moments(nu, t)
+                assert str(info.value) == (
+                    f"moments at nu={nu!r} cannot reach tol={t!r}: the "
+                    f"largest value {top:.6g} is resolved only to its ulp "
+                    f"{math.ulp(top):.3e}")
+            else:
+                got = moments(nu, t)
+                assert (got.m0, got.s0, got.s1, got.s2, got.s3, got.m3) == \
+                    (ref.m0, ref.s0, ref.s1, ref.s2, ref.s3, m3)
+
+    def test_exact_floor_test_names_s0_at_large_order(self):
+        # at nu = 1e300, S(1) = 1 + 5.6e-151 is the largest value and m0 the
+        # tiny rest: the refusal names s0 and its ulp
+        with pytest.raises(ParameterError) as info:
+            moments(1e300, 1e-16)
+        assert str(info.value) == (
+            "moments at nu=1e+300 cannot reach tol=1e-16: the largest value "
+            "1 is resolved only to its ulp 2.220e-16")
 
     def test_floor_message_through_critical_nu(self):
         with pytest.raises(ParameterError) as info:
