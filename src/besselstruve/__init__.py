@@ -8,7 +8,14 @@ false position, and cross-checks everything through independent oracles
 
 Numeric inner loops live in one pure-Python kernel module, ``_pykernels``;
 ``besselstruve.backend_name()`` names it.
+
+``import besselstruve`` loads only the kernel, series and criteria layers.
+The operator and verifier layers load on first use of one of their names
+or of ``besselstruve.operators`` / ``besselstruve.verifier``; mpmath loads
+only when the 50-digit oracle runs.
 """
+
+import importlib
 
 from ._pykernels import backend_name
 from .criteria import (ClassParams, ConditionForm, DixitPalParams,
@@ -18,18 +25,10 @@ from .criteria import (ClassParams, ConditionForm, DixitPalParams,
 from .errors import (BesselStruveError, BracketError, DenominatorDegeneracyError,
                      DomainError, InconclusiveError, MonotonicityError,
                      ParameterError, SeriesFormatError)
-from .operators import (NormalizedSeries, Outcome, SignConvention, WeightedSum,
-                        bessel_struve_transform, coefficient_sum_L,
-                        coefficient_sum_T, hadamard, kernel_series, phi_series,
-                        q_operator, read_series, rtab_extremal_sequence,
-                        write_series)
 from .series import (CoefficientSequence, KernelOrder, MomentSet,
                      coefficient_sequence, eval_kernel, eval_normalized,
                      eval_phi, kernel_coefficient, log_kernel_coefficient,
                      moments)
-from .verifier import (CheckResult, DiskSampling, highprec_sum_oracle,
-                       min_real_part_L, min_real_part_T, ode_residual,
-                       ratio_real_part, run_suites)
 
 __version__ = "0.1.0"
 
@@ -57,3 +56,22 @@ __all__ = [
     "MonotonicityError", "DenominatorDegeneracyError", "InconclusiveError",
     "SeriesFormatError",
 ]
+
+_LAZY_LAYERS = ("operators", "verifier")
+
+
+def __getattr__(name):
+    """Load a lazy layer, or a name of ``__all__`` from the layer defining it
+    (PEP 562): ``operators`` if it exports the name, else ``verifier``."""
+    if name in _LAZY_LAYERS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in __all__:
+        operators = importlib.import_module(".operators", __name__)
+        if name in operators.__all__:
+            return getattr(operators, name)
+        return getattr(importlib.import_module(".verifier", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -311,13 +311,19 @@ def write_series(path, f: NormalizedSeries) -> None:
     os.replace(tmp, path)
 
 
+# `read_series` fills index gaps with zeros, so one line "<index> <value>"
+# costs memory in proportion to the index; a larger index is refused
+MAX_SERIES_INDEX = 100_000
+
+
 def read_series(path) -> NormalizedSeries:
     """Parse a coefficient list written by `write_series` (or by hand).
 
     Data lines are "<index> <coefficient>" with indices >= 2 strictly
-    increasing and finite coefficients; gaps are filled with zeros.  Header
-    comments may set ``sign``, ``tail_bound`` (not NaN) and ``tail_ratio``.
-    A malformed line raises SeriesFormatError naming ``path:line``.
+    increasing, at most `MAX_SERIES_INDEX`, and finite coefficients; gaps
+    are filled with zeros.  Header comments may set ``sign``,
+    ``tail_bound`` (not NaN) and ``tail_ratio``.  A malformed line raises
+    SeriesFormatError naming ``path:line``.
     """
     head = {"sign": SignConvention.GENERAL, "tail_bound": 0.0, "tail_ratio": None}
     coeffs: list[float] = []
@@ -356,5 +362,8 @@ def _read_line(line: str, head: dict, coeffs: list) -> None:
     if n <= last_n:
         raise ValueError(f"indices must be strictly increasing and >= 2, "
                          f"got {n} after {last_n}")
+    if n > MAX_SERIES_INDEX:
+        raise ValueError(f"index {n} exceeds the largest series index "
+                         f"{MAX_SERIES_INDEX}")
     coeffs.extend(0.0 for _ in range(n - last_n - 1))
     coeffs.append(value)

@@ -348,17 +348,24 @@ def coefficient_sequence(nu, tol: float = 1e-12) -> CoefficientSequence:
 def eval_kernel(nu, z, tol: float = 1e-12) -> complex:
     """S_nu(z); past the unit disk within tol, or ParameterError.
 
-    S_nu(0) = 1 exactly.  For |z| <= 1 the cached radius-1 table holds the
-    dropped tail below tol.  Past the unit disk half of tol goes to
-    truncation (`_truncated_table` at radius |z|, uncached) and half to
-    Horner's rounding, bounded by gamma_{4m} * S_nu(|z|) with m table
-    entries and gamma_k = k u / (1 - k u), u = 2^-53 (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., sections 3.6 and 5.1); the
-    terms are positive, so S_nu(|z|) <= computed / (1 - 2 m u).  The bound
-    grows with S_nu(|z|), not |S_nu(z)|: at tol 1e-12 it holds up to
-    |z| = 5.0 at nu = 0.3 and 32 at nu = 100, on every ray.  Past that,
-    and for a non-finite z, ParameterError is raised.  The coefficients'
-    own rounding (`kernel_coefficient`) is not part of the bound.
+    S_nu(0) = 1 exactly.  Horner's rounding over m table entries is at most
+    gamma_{4m} * S_nu(|z|), with gamma_k = k u / (1 - k u), u = 2^-53
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    sections 3.6 and 5.1); the terms are positive, so S_nu(|z|) <=
+    computed / (1 - 2 m u).
+
+    For |z| <= 1 the cached radius-1 table holds the dropped tail below
+    tol, so the value is within tol plus the rounding bound, and nothing
+    refuses it when that bound exceeds tol.  It does near nu = -1, where
+    S_nu(|z|) is large: ``eval_kernel(-0.9999999999999999, 1, 1e-14)`` is
+    6433586881780766, the true value 6433586881780770.56.
+
+    Past the unit disk half of tol goes to truncation (`_truncated_table`
+    at radius |z|, uncached) and half to the rounding bound, which grows
+    with S_nu(|z|), not |S_nu(z)|: at tol 1e-12 it holds up to |z| = 5.0
+    at nu = 0.3 and 32 at nu = 100, on every ray.  Past that, and for a
+    non-finite z, ParameterError is raised.  The coefficients' own
+    rounding (`kernel_coefficient`) is not part of either bound.
     """
     return _eval_kernel(nu, z, tol)[0]
 

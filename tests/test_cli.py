@@ -285,6 +285,7 @@ class TestParser:
 # series files with a bad value, written for `TestErrorPaths`
 _BAD_FILES = {"nan_coeff": "2 0.5\n3 nan\n", "inf_coeff": "2 inf\n",
               "nan_tail": "# tail_bound: nan\n2 0.1\n",
+              "huge_index": "2 0.5\n1000000000000 1.0\n",
               "float_cfg": "# defaults\ntol = abc\n", "int_cfg": "seed = 1.5\n"}
 
 
@@ -361,6 +362,10 @@ class TestErrorPaths:
         (("eval", "--nu", "0.3", "--z", "50j"), "error: S_nu at |z|="),
         (("eval", "--nu", "0.3", "--z", "-40"), "error: S_nu at |z|="),
         (("eval", "--nu", "0.3", "--z", "30j"), "error: S_nu at |z|="),
+        # refused before the index gap is filled with zeros
+        (("check", "t", "--series-file", "{huge_index}"),
+         "error: {huge_index}:2: index 1000000000000 exceeds the largest "
+         "series index 100000"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, argv, first_words):
         paths = {"missing": str(tmp_path / "missing.txt"),

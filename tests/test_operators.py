@@ -16,6 +16,7 @@ from besselstruve import (ClassParams, ConditionForm, DixitPalParams,
                           read_series, rtab_extremal_sequence, t_condition,
                           write_series)
 from besselstruve import _pykernels as kernels
+from besselstruve.operators import MAX_SERIES_INDEX
 
 from conftest import NU_GRID, mp_class_weight, mp_weighted_tail
 
@@ -398,4 +399,13 @@ class TestSeriesFiles:
         path = tmp_path / "bad3.txt"
         path.write_text(text)
         with pytest.raises(SeriesFormatError, match=f"^{path}:{line}: "):
+            read_series(path)
+
+    def test_index_bound(self, tmp_path):
+        path = tmp_path / "far.txt"
+        path.write_text(f"2 0.5\n{MAX_SERIES_INDEX} 1.0\n")
+        g = read_series(path)
+        assert len(g.coeffs) == MAX_SERIES_INDEX - 1 and g.coeffs[-1] == 1.0
+        path.write_text(f"2 0.5\n{MAX_SERIES_INDEX + 1} 1.0\n")
+        with pytest.raises(SeriesFormatError, match=f"^{path}:2: index "):
             read_series(path)

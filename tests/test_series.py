@@ -482,6 +482,30 @@ class TestEvalKernel:
             return
         assert abs(got - _mp_kernel(nu, z)) <= tol
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(gap=st.floats(math.log(2.0 ** -53), math.log(0.5)).map(math.exp),
+           radius=st.floats(0.0, 1.0),
+           arg=st.floats(-math.pi, math.pi),
+           tol=st.floats(math.log(1e-14), math.log(1e-3)).map(math.exp))
+    def test_inside_unit_disk_within_tol_plus_rounding(self, gap, radius, arg,
+                                                       tol):
+        # nu = -1 + gap with gap log-uniform in [2^-53, 1/2]: S_nu(|z|) is
+        # up to 6e15, so only tol plus Horner's rounding bound
+        # gamma_{4m} S_nu(|z|) holds against the series summed at 60 digits
+        nu, z = -1.0 + gap, cmath.rect(radius, arg)
+        got = eval_kernel(nu, z, tol)
+        vals, _, _ = series._cached_table(nu, tol, 0)
+        mu = len(vals) * 2.0 ** -53
+        s_abs = kernels.horner(vals, abs(z), 0.0)[0] / (1.0 - 2.0 * mu)
+        rounding = 4.0 * mu / (1.0 - 4.0 * mu) * s_abs
+        assert abs(got - _mp_kernel(nu, z)) <= tol + rounding
+
+    def test_inside_unit_disk_rounding_exceeds_tol(self):
+        # the example of the docstring and README: 6433586881780770.56 is
+        # the true value, off by 4.56 at tol 1e-14
+        assert eval_kernel(-0.9999999999999999, 1.0, 1e-14) == 6433586881780766
+        assert _mp_kernel(-0.9999999999999999, 1.0) == 6433586881780771
+
     @pytest.mark.parametrize("nu, z", ((0.5, 150.0), (0.5, 200.0), (0.0, -400.0),
                                        (1.0, 1e300), (1.0, complex(1e308, 1e308))))
     def test_unreachable_radius_is_a_parameter_error(self, nu, z):
