@@ -15,7 +15,7 @@ or of ``besselstruve.operators`` / ``besselstruve.verifier``; mpmath loads
 only when the 50-digit oracle runs.
 """
 
-import importlib
+import importlib as _importlib
 
 from ._pykernels import backend_name
 from .criteria import (ClassParams, ConditionForm, DixitPalParams,
@@ -62,15 +62,17 @@ _LAZY_LAYERS = ("operators", "verifier")
 
 def __getattr__(name):
     """Load a lazy layer, or a name of ``__all__`` from the layer defining it
-    (PEP 562): ``operators`` if it exports the name, else ``verifier``."""
+    (PEP 562): ``operators`` if it exports the name, else ``verifier``.
+    The name is then bound here, so this runs once per name."""
     if name in _LAZY_LAYERS:
-        return importlib.import_module(f".{name}", __name__)
-    if name in __all__:
-        operators = importlib.import_module(".operators", __name__)
-        if name in operators.__all__:
-            return getattr(operators, name)
-        return getattr(importlib.import_module(".verifier", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        return _importlib.import_module(f".{name}", __name__)
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    operators = _importlib.import_module(".operators", __name__)
+    home = (operators if name in operators.__all__
+            else _importlib.import_module(".verifier", __name__))
+    value = globals()[name] = getattr(home, name)
+    return value
 
 
 def __dir__():

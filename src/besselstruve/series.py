@@ -365,7 +365,8 @@ def eval_kernel(nu, z, tol: float = 1e-12) -> complex:
     with S_nu(|z|), not |S_nu(z)|: at tol 1e-12 it holds up to |z| = 5.0
     at nu = 0.3 and 32 at nu = 100, on every ray.  Past that, and for a
     non-finite z, ParameterError is raised.  The coefficients' own
-    rounding (`kernel_coefficient`) is not part of either bound.
+    error (`kernel_coefficient`: relative 1e-13 each, so at most
+    1e-13 * S_nu(|z|) in all) is not part of either bound.
     """
     return _eval_kernel(nu, z, tol)[0]
 
