@@ -12,24 +12,20 @@ so identical invocations produce identical output.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
-import os
 import sys
 from typing import Optional
 
 from . import __version__
+from ._files import write_then_rename
 from ._pykernels import backend_name
 from .criteria import (CONDITION_NAMES, ClassParams, ConditionForm,
                        DixitPalParams, _evaluate, _lhs_slab, _rule, _scale,
                        critical_nu)
 from .errors import (BesselStruveError, BracketError, DomainError,
                      InconclusiveError, ParameterError)
-from .operators import (Outcome, coefficient_sum_L, coefficient_sum_T,
-                        read_series)
 from .series import _eval_kernel, _operator_order, moments
-from .verifier import SUITE_NAMES, run_suites
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -155,6 +151,9 @@ def _cmd_eval(args) -> int:
 
 
 def _series_check(args, p: ClassParams, tol: float) -> int:
+    from .operators import (Outcome, coefficient_sum_L, coefficient_sum_T,
+                            read_series)
+
     if args.condition in ("jnu", "qnu"):
         raise ParameterError(
             f"--series-file applies the coefficient test; condition "
@@ -237,27 +236,26 @@ def _cmd_scan(args) -> int:
         for alpha, a_text, rhs, rhs_text in columns:
             weights.append(rule.weights(lam, alpha))
             cells.append((f"{lam_text},{a_text},", rhs, rhs_text))
-    rows = ["condition,form,nu,lambda,alpha,lhs,rhs,margin,holds"]
-    for nu in nus:
-        s = moments(_operator_order(nu), tol)
-        head = f"{args.condition},{form.value},{_fmt(nu)},"
-        lhs_slab = _lhs_slab((s.s0, s.s1, s.s2, s.s3), weights, scale,
-                             rule.shift)
-        for lhs, (point, rhs, rhs_text) in zip(lhs_slab, cells):
-            margin = rhs - lhs
-            rows.append(f"{head}{point}{lhs:.17g}{rhs_text}{margin:.17g},"
-                        f"{'true' if margin >= 0.0 else 'false'}")
-    payload = "\n".join(rows) + "\n"
-    tmp = f"{args.output}.tmp-{os.getpid()}"
+    # each nu's rows go to the temporary file as soon as they are formed, so
+    # memory holds one slab; an error anywhere leaves no file behind
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-        os.replace(tmp, args.output)
+        with write_then_rename(args.output) as fh:
+            fh.write("condition,form,nu,lambda,alpha,lhs,rhs,margin,holds\n")
+            for nu in nus:
+                s = moments(_operator_order(nu), tol)
+                head = f"{args.condition},{form.value},{_fmt(nu)},"
+                lhs_slab = _lhs_slab((s.s0, s.s1, s.s2, s.s3), weights, scale,
+                                     rule.shift)
+                rows = []
+                for lhs, (point, rhs, rhs_text) in zip(lhs_slab, cells):
+                    margin = rhs - lhs
+                    rows.append(f"{head}{point}{lhs:.17g}{rhs_text}"
+                                f"{margin:.17g},"
+                                f"{'true' if margin >= 0.0 else 'false'}\n")
+                fh.write("".join(rows))
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
         raise ParameterError(f"cannot write {args.output}: {exc}") from exc
-    print(f"wrote {len(rows) - 1} rows to {args.output}")
+    print(f"wrote {len(nus) * len(cells)} rows to {args.output}")
     return EXIT_HOLDS
 
 
@@ -286,6 +284,8 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verifier import SUITE_NAMES, run_suites
+
     cfg = _load_config(args.config)
     seed = _resolve(args, cfg, "seed")
     names = SUITE_NAMES if args.suite == "default" else (args.suite,)
@@ -326,6 +326,19 @@ def _add_class_params(sub):
                      help="Dixit-Pal |tau| (jnu only)")
     sub.add_argument("--form", choices=("proof", "stated"), default="proof",
                      help="variant of the starlike-type inequality")
+
+
+def _suite_name(text: str) -> str:
+    """A --suite value: 'default' or one of `verifier.SUITE_NAMES`.  The
+    verifier layer loads only when a suite is named."""
+    if text != "default":
+        from .verifier import SUITE_NAMES
+
+        if text not in SUITE_NAMES:
+            choices = ", ".join(map(repr, ("default",) + SUITE_NAMES))
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {choices})")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.set_defaults(func=_cmd_critical)
 
     p_verify = subs.add_parser("verify", help="run the consistency suites")
-    p_verify.add_argument("--suite", choices=("default",) + SUITE_NAMES,
-                          default="default")
+    p_verify.add_argument("--suite", type=_suite_name, default="default",
+                          help="'default' (every suite) or one suite name; "
+                               "an unknown name lists them")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--config", metavar="PATH")
     p_verify.set_defaults(func=_cmd_verify)

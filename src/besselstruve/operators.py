@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 from . import _pykernels as kernels
+from ._files import write_then_rename
 from .criteria import ClassParams, DixitPalParams, _check_params
 from .errors import InconclusiveError, ParameterError, SeriesFormatError
 from .series import (_check_index, _operator_order, _weighted_tail,
@@ -297,7 +297,11 @@ def rtab_extremal_sequence(d: DixitPalParams, n_terms: int) -> NormalizedSeries:
 
 
 def write_series(path, f: NormalizedSeries) -> None:
-    """Write a series as an annotated coefficient list (one per line)."""
+    """Write a series as an annotated coefficient list (one per line).
+
+    Write-then-rename: a failed write leaves ``path`` as it was and no
+    temporary file behind.
+    """
     lines = ["# normalized series, coefficients of z^n for n >= 2",
              f"# sign: {f.sign.value}",
              f"# tail_bound: {f.tail_bound!r}"]
@@ -305,10 +309,8 @@ def write_series(path, f: NormalizedSeries) -> None:
         lines.append(f"# tail_ratio: {f.tail_ratio!r}")
     for n, c in enumerate(f.coeffs, start=2):
         lines.append(f"{n} {c!r}")
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with write_then_rename(path) as fh:
         fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
 
 
 # `read_series` fills index gaps with zeros, so one line "<index> <value>"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -178,56 +179,49 @@ SELECTORS = ("c",) + _M_SELECTORS + _S_SELECTORS + (
     "t_proof", "t_stated", "l", "jnu", "qnu", "starlike", "convex")
 
 
-# The oracle's factors and quotients, cached per (argument, mpmath precision):
-# `prec` is passed only to key the caches.  One `_suite_highprec` call forms
-# up to about 300 distinct quotients from 8 orders nu and fewer than 64
-# indices n, so these sizes hold a whole call.
-_ORACLE_CACHE = 512
+# The oracle's stored values are keyed on (argument, mpmath precision), and
+# `prec` is passed only to key them, so a value is never read back at a
+# precision it was not computed at.  One `_suite_highprec` call reaches 8
+# orders nu and fewer than 64 indices n, so these sizes hold a whole call.
+# `highprec_sum_oracle` holds `_ORACLE_LOCK` while it sets mpmath's
+# process-wide precision and while it extends a shared coefficient list.
+_ORACLE_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=512)
+def _index_factors(n, prec):
+    """(Gamma((n+1)/2), sqrt(pi) * n!) at the current precision ``prec``."""
+    import mpmath
+
+    return (mpmath.gamma(mpmath.mpf(n + 1) / 2),
+            mpmath.sqrt(mpmath.pi) * mpmath.factorial(n))
 
 
 @lru_cache(maxsize=16)
-def _gamma_nu1(nu, prec):
-    """Gamma(nu+1) at the current precision ``prec``."""
+def _order_store(nu, prec):
+    """(Gamma(nu+1), raw c_0, c_1, ...) of order ``nu`` at precision ``prec``.
+
+    The one list per key is shared by every caller, which appends
+    `_oracle_coefficient` values to it as sums reach further.
+    """
     import mpmath
 
-    return mpmath.gamma(nu + 1)
-
-
-@lru_cache(maxsize=_ORACLE_CACHE)
-def _gamma_half(n, prec):
-    """Gamma((n+1)/2) at the current precision ``prec``."""
-    import mpmath
-
-    return mpmath.gamma(mpmath.mpf(n + 1) / 2)
-
-
-@lru_cache(maxsize=_ORACLE_CACHE)
-def _sqrt_pi_factorial(n, prec):
-    """sqrt(pi) * n! at the current precision ``prec``."""
-    import mpmath
-
-    return mpmath.sqrt(mpmath.pi) * mpmath.factorial(n)
-
-
-@lru_cache(maxsize=_ORACLE_CACHE)
-def _oracle_quotient(nu, n, prec):
-    import mpmath
-
-    return (_gamma_nu1(nu, prec) * _gamma_half(n, prec)
-            / (_sqrt_pi_factorial(n, prec)
-               * mpmath.gamma(mpmath.mpf(n) / 2 + nu + 1)))
+    return mpmath.gamma(nu + 1), []
 
 
 def _oracle_coefficient(nu, n):
     """Gamma(nu+1) Gamma((n+1)/2) / (sqrt(pi) n! Gamma(n/2+nu+1)).
 
     The literal quotient, formed in this operation order at the current
-    mpmath precision.  Its factors and the quotient are cached per precision,
-    so a value is never read back at a precision it was not computed at.
+    mpmath precision from the stored factors of `_index_factors` and
+    `_order_store`.
     """
     import mpmath
 
-    return _oracle_quotient(nu, n, mpmath.mp.prec)
+    prec = mpmath.mp.prec
+    gamma_half, sqrt_pi_factorial = _index_factors(n, prec)
+    return (_order_store(nu, prec)[0] * gamma_half
+            / (sqrt_pi_factorial * mpmath.gamma(mpmath.mpf(n) / 2 + nu + 1)))
 
 
 @lru_cache(maxsize=8)
@@ -236,16 +230,6 @@ def _oracle_stops(prec):
     import mpmath
 
     return mpmath.mpf("1e-40")._mpf_, mpmath.mpf("1e-30")._mpf_
-
-
-@lru_cache(maxsize=16)
-def _coefficient_list(nu, prec):
-    """Raw c_0, c_1, ... of order ``nu`` at precision ``prec``.
-
-    The one list per key is shared by every caller, which appends
-    `_oracle_coefficient` values to it as sums reach further.
-    """
-    return []
 
 
 def _oracle_dps(nu: float) -> int:
@@ -340,14 +324,14 @@ def highprec_sum_oracle(selector: str, nu, n: Optional[int] = None,
         if n is None:
             raise ParameterError("selector 'c' needs the index n")
         n = _check_index(n)
-    with mpmath.workdps(_oracle_dps(nu_val)):
+    with _ORACLE_LOCK, mpmath.workdps(_oracle_dps(nu_val)):
         nu_mp = mpmath.mpf(nu_val)
         if selector == "c":
             return _oracle_coefficient(nu_mp, n)
         lam_mp = mpmath.mpf(lam)
         alpha_mp = mpmath.mpf(alpha)
         prec = mpmath.mp.prec
-        coeffs = _coefficient_list(nu_mp, prec)
+        coeffs = _order_store(nu_mp, prec)[1]
 
         def c(k):
             while len(coeffs) <= k:

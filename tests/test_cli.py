@@ -184,6 +184,18 @@ class TestScan:
         assert code == 2
         assert not out_path.exists()
 
+    def test_error_mid_grid_leaves_the_output_untouched(self, tmp_path, capsys):
+        # rows stream into the temporary file; nu = -0.5, the grid's second
+        # point, is refused after the first nu's rows were written
+        out_path = tmp_path / "kept.csv"
+        out_path.write_text("earlier run\n")
+        code, out, err = run(capsys, "scan", "t", "--nu=0:-1:5",
+                             "--output", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out_path.read_text() == "earlier run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
 
 class TestCritical:
     def test_golden_fixture(self, capsys):

@@ -370,6 +370,13 @@ class TestSeriesFiles:
         g = read_series(path)
         assert g == f
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        # the rename onto a directory fails after the temporary file is full
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_series(tmp_path / "taken", NormalizedSeries((0.5,)))
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
     def test_gap_fills_with_zeros(self, tmp_path):
         path = tmp_path / "gap.txt"
         path.write_text("2 1.5\n5 0.25\n")

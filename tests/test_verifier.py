@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import mpmath
 import pytest
@@ -339,6 +340,36 @@ class TestOracleCache:
             high = _oracle_coefficient(mpmath.mpf(2.5), 3)
             assert high == _literal_coefficient(mpmath.mpf(2.5), 3)
         assert high != low
+
+    def test_concurrent_calls_give_the_single_threaded_values(self):
+        # mpmath's precision is process-wide, so unserialized calls could
+        # restore another call's precision mid-sum and cache what it formed
+        from besselstruve import verifier
+        orders = [0.1 + k / 7 for k in range(30)]
+        got = {}
+
+        def work(nu, slot):
+            got[nu, slot] = highprec_sum_oracle("s1", nu)
+
+        prec, interval = mpmath.mp.prec, sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for nu in orders:
+                threads = [threading.Thread(target=work, args=(nu, slot))
+                           for slot in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert mpmath.mp.prec == prec
+        verifier._order_store.cache_clear()
+        verifier._index_factors.cache_clear()
+        for nu in orders:
+            want = highprec_sum_oracle("s1", nu)
+            assert [got[nu, slot] for slot in range(4)] == [want] * 4, nu
 
     @pytest.mark.parametrize("selector, nu, n, lam, alpha, digits", [
         ("t_proof", 1.5, None, 0.3, 0.2,
