@@ -32,6 +32,9 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+# the most points of a `scan` range, and of its lambda x alpha grid
+MAX_GRID_POINTS = 1_000_000
+
 _CONFIG_KEYS = {
     "tol": float,
     "margin_tol": float,
@@ -85,7 +88,7 @@ def _resolve(args, cfg: dict, key: str):
     return cfg[key] if val is None else val
 
 
-def _parse_range(text: str, steps_required: bool = True):
+def _parse_range(text: str):
     """Parse 'lo:hi:steps' (or a single value) into a list of grid points."""
     parts = text.split(":")
     try:
@@ -97,8 +100,9 @@ def _parse_range(text: str, steps_required: bool = True):
             raise ValueError("expected 'value' or 'lo:hi:steps'")
     except ValueError as exc:
         raise ParameterError(f"bad range {text!r}: {exc}") from exc
-    if steps < 1:
-        raise ParameterError(f"bad range {text!r}: steps must be >= 1")
+    if not 1 <= steps <= MAX_GRID_POINTS:
+        raise ParameterError(f"bad range {text!r}: steps must lie in "
+                             f"[1, {MAX_GRID_POINTS}]")
     if steps == 1:
         return [lo]
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
@@ -219,6 +223,9 @@ def _cmd_scan(args) -> int:
     nus = _parse_range(args.nu)
     alphas = _parse_range(args.alpha)
     lams = _parse_range(args.lam)
+    if len(lams) * len(alphas) > MAX_GRID_POINTS:
+        raise ParameterError(f"{len(lams)} x {len(alphas)} lambda x alpha "
+                             f"cells exceed {MAX_GRID_POINTS}")
     _check_lambda(args.condition, lams)
     # raises the first error a lambda-major sweep of every cell would
     for alpha in alphas:

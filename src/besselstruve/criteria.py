@@ -394,11 +394,11 @@ def critical_nu(condition: str, p: ClassParams,
     if not (lo < hi):
         raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
     margin = margin_function(condition, p, extra, form, tol)
-    return _bisect_margin(margin, lo, hi, margin_tol, nu_tol)
+    return _bisect_margin(margin, lo, hi, margin_tol)
 
 
 def _bisect_margin(margin: Callable[[float], float], lo: float, hi: float,
-                   margin_tol: float, nu_tol: float) -> float:
+                   margin_tol: float) -> float:
     """First evaluated nu with 0 <= margin(nu) <= margin_tol (see critical_nu).
 
     w_lo and w_hi are the false-position weights of the two ends: the

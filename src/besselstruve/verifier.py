@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -179,57 +178,50 @@ SELECTORS = ("c",) + _M_SELECTORS + _S_SELECTORS + (
     "t_proof", "t_stated", "l", "jnu", "qnu", "starlike", "convex")
 
 
-# The oracle's stored values are keyed on (argument, mpmath precision), and
-# `prec` is passed only to key them, so a value is never read back at a
-# precision it was not computed at.  One `_suite_highprec` call reaches 8
-# orders nu and fewer than 64 indices n, so these sizes hold a whole call.
-# `highprec_sum_oracle` holds `_ORACLE_LOCK` while it sets mpmath's
-# process-wide precision and while it extends a shared coefficient list.
-_ORACLE_LOCK = threading.Lock()
-
-
-@lru_cache(maxsize=512)
-def _index_factors(n, prec):
-    """(Gamma((n+1)/2), sqrt(pi) * n!) at the current precision ``prec``."""
-    import mpmath
-
-    return (mpmath.gamma(mpmath.mpf(n + 1) / 2),
-            mpmath.sqrt(mpmath.pi) * mpmath.factorial(n))
-
-
-@lru_cache(maxsize=16)
-def _order_store(nu, prec):
-    """(Gamma(nu+1), raw c_0, c_1, ...) of order ``nu`` at precision ``prec``.
-
-    The one list per key is shared by every caller, which appends
-    `_oracle_coefficient` values to it as sums reach further.
-    """
-    import mpmath
-
-    return mpmath.gamma(nu + 1), []
-
-
-def _oracle_coefficient(nu, n):
-    """Gamma(nu+1) Gamma((n+1)/2) / (sqrt(pi) n! Gamma(n/2+nu+1)).
-
-    The literal quotient, formed in this operation order at the current
-    mpmath precision from the stored factors of `_index_factors` and
-    `_order_store`.
-    """
-    import mpmath
-
-    prec = mpmath.mp.prec
-    gamma_half, sqrt_pi_factorial = _index_factors(n, prec)
-    return (_order_store(nu, prec)[0] * gamma_half
-            / (sqrt_pi_factorial * mpmath.gamma(mpmath.mpf(n) / 2 + nu + 1)))
+# The oracle computes in a private mpmath context per digit count and never
+# reads or sets mpmath's process-wide precision.  Threads share a context,
+# which is safe only because nothing changes its precision after `_context`
+# builds it: Gamma, sqrt, factorial, pi, isfinite and mpf arithmetic round
+# at it and leave it alone (never use `extraprec` or raise it otherwise).
+# Caches key on (argument, digits), sized for a `_suite_highprec` call.
 
 
 @lru_cache(maxsize=8)
-def _oracle_stops(prec):
-    """The raw (term, remainder) thresholds 1e-40 and 1e-30 at precision prec."""
+def _context(dps):
+    """The mpmath context at ``dps`` digits, with `_oracle_sum`'s ``stops``."""
     import mpmath
 
-    return mpmath.mpf("1e-40")._mpf_, mpmath.mpf("1e-30")._mpf_
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    ctx.stops = ctx.mpf("1e-40")._mpf_, ctx.mpf("1e-30")._mpf_
+    return ctx
+
+
+@lru_cache(maxsize=512)
+def _index_factors(n, dps):
+    """(Gamma((n+1)/2), sqrt(pi) * n!) at ``dps`` digits."""
+    ctx = _context(dps)
+    return ctx.gamma(ctx.mpf(n + 1) / 2), ctx.sqrt(ctx.pi) * ctx.factorial(n)
+
+
+@lru_cache(maxsize=16)
+def _order_store(nu, dps):
+    """(Gamma(nu+1), {n: raw c_n}) of the mpf order ``nu`` at ``dps`` digits.
+
+    Every caller shares the dict and fills it with ``setdefault`` as sums
+    reach further: a value is the same whichever thread computes it."""
+    return _context(dps).gamma(nu + 1), {}
+
+
+def _oracle_coefficient(ctx, nu, n):
+    """Gamma(nu+1) Gamma((n+1)/2) / (sqrt(pi) n! Gamma(n/2+nu+1)).
+
+    The literal quotient, formed in this operation order in the context
+    ``ctx`` from the stored factors of `_index_factors` and `_order_store`.
+    """
+    gamma_half, sqrt_pi_factorial = _index_factors(n, ctx.dps)
+    return (_order_store(nu, ctx.dps)[0] * gamma_half
+            / (sqrt_pi_factorial * ctx.gamma(ctx.mpf(n) / 2 + nu + 1)))
 
 
 def _oracle_dps(nu: float) -> int:
@@ -254,24 +246,22 @@ def _fixed_point(x):
     return (-man if sign else man), exp
 
 
-def _oracle_sum(termfn, start: int):
+def _oracle_sum(ctx, termfn, start: int):
     """sum_{n>=start} termfn(n) for positive factorially decaying terms.
 
     Stops once the term is below 1e-40 and certifies the remainder by the
     geometric bound term*r/(1-r) < 1e-30.  ``termfn`` returns a raw mpf
     value (an ``_mpf_`` tuple) and the term, total, ratio and remainder
     stay raw, so no mpf object is made per term: each operation is the
-    `mpmath.libmp` call the mpf operator makes, at the current precision
-    rounded to nearest, and rounds exactly as that operator does.  The
-    precision is the caller's: `highprec_sum_oracle` works at 50 digits,
-    plus one per decade of nu past 1e30.  Returns an mpf.
+    `mpmath.libmp` call the mpf operator makes, at the precision of the
+    context ``ctx`` rounded to nearest, and rounds exactly as that operator
+    does.  Returns an mpf of ``ctx``.
     """
-    import mpmath
     from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_lt, mpf_mul,
                               mpf_sub)
 
-    prec = mpmath.mp.prec
-    small_term, small_rem = _oracle_stops(prec)
+    prec = ctx.prec
+    small_term, small_rem = ctx.stops
     total = fzero
     prev = None
     n = start
@@ -284,7 +274,7 @@ def _oracle_sum(termfn, start: int):
                 rem = mpf_div(mpf_mul(term, r, prec, "n"),
                               mpf_sub(fone, r, prec, "n"), prec, "n")
                 if mpf_lt(rem, small_rem):
-                    return mpmath.mp.make_mpf(total)
+                    return ctx.make_mpf(total)
         if n - start > 100_000:
             raise RuntimeError("oracle summation failed to converge")
         prev = term
@@ -298,9 +288,9 @@ def highprec_sum_oracle(selector: str, nu, n: Optional[int] = None,
 
     Every criterion lhs is summed termwise through the coefficient-inequality
     weights (not through the derivative closed forms the fast path uses), so
-    agreement is a genuine two-route check.  Returns an mpmath float.
-    mpmath is imported here, on first use, so that importing the package
-    does not pay for it.
+    agreement is a genuine two-route check.  Returns an mpmath float of the
+    global context, so arithmetic on it follows the caller's precision.
+    mpmath is imported on first use, so importing the package does not pay.
 
     Each term is its weight times a coefficient, rounded once: the weight
     is i**k for m_k, i(i-1)...(i-k+1) for s_k (and the stated form's
@@ -315,7 +305,6 @@ def highprec_sum_oracle(selector: str, nu, n: Optional[int] = None,
     is 50 digits, plus one per decade of nu past 1e30 (see `_oracle_dps`).
     """
     import mpmath
-    from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_mul_int, mpf_shift
 
     if selector not in SELECTORS:
         raise ParameterError(f"unknown selector {selector!r}; one of {SELECTORS}")
@@ -324,68 +313,74 @@ def highprec_sum_oracle(selector: str, nu, n: Optional[int] = None,
         if n is None:
             raise ParameterError("selector 'c' needs the index n")
         n = _check_index(n)
-    with _ORACLE_LOCK, mpmath.workdps(_oracle_dps(nu_val)):
-        nu_mp = mpmath.mpf(nu_val)
-        if selector == "c":
-            return _oracle_coefficient(nu_mp, n)
-        lam_mp = mpmath.mpf(lam)
-        alpha_mp = mpmath.mpf(alpha)
-        prec = mpmath.mp.prec
-        coeffs = _order_store(nu_mp, prec)[1]
+    value = _oracle_value(_context(_oracle_dps(nu_val)), selector, nu_val, n,
+                          lam, alpha, a, b, tau_abs)
+    return mpmath.mp.make_mpf(value._mpf_)
 
-        def c(k):
-            while len(coeffs) <= k:
-                coeffs.append(_oracle_coefficient(nu_mp, len(coeffs))._mpf_)
-            return coeffs[k]
 
-        def derivative(k):
-            """S^(k)(1) = sum_{i>=k} i(i-1)...(i-k+1) c_i."""
-            return _oracle_sum(
-                lambda i: mpf_mul_int(c(i), math.perm(i, k), prec, "n"), k)
+def _oracle_value(ctx, selector, nu, n, lam, alpha, a, b, tau_abs):
+    """`highprec_sum_oracle` of checked arguments, as an mpf of ``ctx``."""
+    from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_mul_int, mpf_shift
 
-        if selector in _M_SELECTORS:
-            k = int(selector[1])
-            return _oracle_sum(
-                lambda i: mpf_mul_int(c(i - 1), i ** k, prec, "n"), 2)
-        if selector in _S_SELECTORS:
-            return derivative(int(selector[1]))
-        if selector == "t_stated":
-            # stated variant differs only in the S'(1) weight; summed through
-            # the derivative values to keep the route distinct from criteria
-            s0, s1, s2 = derivative(0), derivative(1), derivative(2)
-            return (lam_mp * s2 + (1 - lam_mp * alpha_mp) * s1
-                    + (1 - alpha_mp) * s0)
-        if selector in ("starlike", "convex"):
-            lam_mp = mpmath.mpf(0)
-        # (i*lam - lam + 1)(i - alpha) = u*v * 2**shift with the integers
-        # u = (i-1)*lam_m + one and v = i*unit - alpha_m, where one and unit
-        # are the powers of two that make lam_m and alpha_m integers.
-        lam_m, lam_e = _fixed_point(lam_mp)
-        alpha_m, alpha_e = _fixed_point(alpha_mp)
-        e1, e2 = min(lam_e, 0), min(alpha_e, 0)
-        lam_m <<= lam_e - e1
-        alpha_m <<= alpha_e - e2
-        one, unit, shift = 1 << -e1, 1 << -e2, e1 + e2
-        if selector in ("t_proof", "starlike"):
-            weight = lambda i: ((i - 1) * lam_m + one) * (i * unit - alpha_m)
-        else:
-            weight = lambda i: i * ((i - 1) * lam_m + one) * (i * unit - alpha_m)
-        if selector == "jnu":
-            scale = (mpmath.mpf(a) - mpmath.mpf(b)) * mpmath.mpf(tau_abs)
-            if not mpmath.isfinite(scale):
-                raise ParameterError(f"A, B and |tau| must be finite, got "
-                                     f"{a!r}, {b!r}, {tau_abs!r}")
-            scale = scale._mpf_
-            coef = lambda i: mpf_div(mpf_mul(c(i - 1), scale, prec, "n"),
-                                     from_int(i), prec, "n")
-        elif selector == "qnu":
-            # through the integral variant's own coefficients c_{n-1}/n
-            coef = lambda i: mpf_div(c(i - 1), from_int(i), prec, "n")
-        else:
-            coef = lambda i: c(i - 1)
-        total = _oracle_sum(lambda i: mpf_shift(
-            mpf_mul_int(coef(i), weight(i), prec, "n"), shift), 2)
-        return total if selector == "jnu" else total + (1 - alpha_mp)
+    nu_mp = ctx.mpf(nu)
+    if selector == "c":
+        return _oracle_coefficient(ctx, nu_mp, n)
+    lam_mp, alpha_mp = ctx.mpf(lam), ctx.mpf(alpha)
+    prec = ctx.prec
+    coeffs = _order_store(nu_mp, ctx.dps)[1]
+
+    def c(k):
+        return coeffs.get(k) or coeffs.setdefault(
+            k, _oracle_coefficient(ctx, nu_mp, k)._mpf_)
+
+    def derivative(k):
+        """S^(k)(1) = sum_{i>=k} i(i-1)...(i-k+1) c_i."""
+        return _oracle_sum(
+            ctx, lambda i: mpf_mul_int(c(i), math.perm(i, k), prec, "n"), k)
+
+    if selector in _M_SELECTORS:
+        k = int(selector[1])
+        return _oracle_sum(
+            ctx, lambda i: mpf_mul_int(c(i - 1), i ** k, prec, "n"), 2)
+    if selector in _S_SELECTORS:
+        return derivative(int(selector[1]))
+    if selector == "t_stated":
+        # stated variant differs only in the S'(1) weight; summed through
+        # the derivative values to keep the route distinct from criteria
+        s0, s1, s2 = derivative(0), derivative(1), derivative(2)
+        return (lam_mp * s2 + (1 - lam_mp * alpha_mp) * s1
+                + (1 - alpha_mp) * s0)
+    if selector in ("starlike", "convex"):
+        lam_mp = ctx.mpf(0)
+    # (i*lam - lam + 1)(i - alpha) = u*v * 2**shift with the integers
+    # u = (i-1)*lam_m + one and v = i*unit - alpha_m, where one and unit
+    # are the powers of two that make lam_m and alpha_m integers.
+    lam_m, lam_e = _fixed_point(lam_mp)
+    alpha_m, alpha_e = _fixed_point(alpha_mp)
+    e1, e2 = min(lam_e, 0), min(alpha_e, 0)
+    lam_m <<= lam_e - e1
+    alpha_m <<= alpha_e - e2
+    one, unit, shift = 1 << -e1, 1 << -e2, e1 + e2
+    if selector in ("t_proof", "starlike"):
+        weight = lambda i: ((i - 1) * lam_m + one) * (i * unit - alpha_m)
+    else:
+        weight = lambda i: i * ((i - 1) * lam_m + one) * (i * unit - alpha_m)
+    if selector == "jnu":
+        scale = (ctx.mpf(a) - ctx.mpf(b)) * ctx.mpf(tau_abs)
+        if not ctx.isfinite(scale):
+            raise ParameterError(f"A, B and |tau| must be finite, got "
+                                 f"{a!r}, {b!r}, {tau_abs!r}")
+        scale = scale._mpf_
+        coef = lambda i: mpf_div(mpf_mul(c(i - 1), scale, prec, "n"),
+                                 from_int(i), prec, "n")
+    elif selector == "qnu":
+        # through the integral variant's own coefficients c_{n-1}/n
+        coef = lambda i: mpf_div(c(i - 1), from_int(i), prec, "n")
+    else:
+        coef = lambda i: c(i - 1)
+    total = _oracle_sum(ctx, lambda i: mpf_shift(
+        mpf_mul_int(coef(i), weight(i), prec, "n"), shift), 2)
+    return total if selector == "jnu" else total + (1 - alpha_mp)
 
 
 # ----------------------------------------------------------------------------
@@ -569,7 +564,6 @@ def _suite_necessity(seed: int) -> list[CheckResult]:
 
 def _suite_highprec(seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
-    results = []
     worst = 0.0
     worst_at = None
     for _ in range(8):
@@ -586,10 +580,9 @@ def _suite_highprec(seed: int) -> list[CheckResult]:
             err = abs(fast - float(ref))
             if err > worst:
                 worst, worst_at = err, (sel, nu, p.lam, p.alpha)
-    results.append(CheckResult(
+    return [CheckResult(
         "criterion lhs vs 50-digit oracle (8 random tuples)",
-        worst <= 1e-10, f"max abs diff {worst:.3e} at {worst_at}"))
-    return results
+        worst <= 1e-10, f"max abs diff {worst:.3e} at {worst_at}")]
 
 
 SUITE_NAMES = ("moments", "ode", "sufficiency", "necessity", "highprec")

@@ -378,6 +378,12 @@ class TestErrorPaths:
         (("check", "t", "--series-file", "{huge_index}"),
          "error: {huge_index}:2: index 1000000000000 exceeds the largest "
          "series index 100000"),
+        # refused before a grid list or the lambda x alpha cells are built
+        (("scan", "t", "--nu", "0.6:30:1000001", "--output", "{out}"),
+         "error: bad range '0.6:30:1000001': steps must lie in [1, 1000000]"),
+        (("scan", "t", "--nu", "1", "--lambda", "0:0.5:1001", "--alpha",
+          "0:0.5:1000", "--output", "{out}"),
+         "error: 1001 x 1000 lambda x alpha cells exceed 1000000"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, argv, first_words):
         paths = {"missing": str(tmp_path / "missing.txt"),

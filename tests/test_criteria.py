@@ -406,7 +406,7 @@ class TestCriticalNu:
         def bumpy(x):
             return x - 3.0 + 6.0 * math.exp(-40.0 * (x - 2.0) ** 2)
         with pytest.raises(MonotonicityError):
-            _bisect_margin(bumpy, 0.0, 4.0, 1e-10, 1e-10)
+            _bisect_margin(bumpy, 0.0, 4.0, 1e-10)
 
     def test_unknown_condition(self):
         with pytest.raises(ParameterError):
@@ -420,7 +420,7 @@ class TestCriticalNu:
             points.append(nu)
             return margin(nu)
 
-        nu_star = _bisect_margin(counted, 0.6, 20.0, 1e-10, 1e-10)
+        nu_star = _bisect_margin(counted, 0.6, 20.0, 1e-10)
         assert len(points) <= 16  # bisection made 37
         assert nu_star == critical_nu("starlike", ClassParams(0.0, 0.0),
                                       bracket=(0.6, 20.0))

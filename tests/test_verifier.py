@@ -19,8 +19,9 @@ from besselstruve import (ClassParams, DenominatorDegeneracyError, DiskSampling,
                           ode_residual, phi_series, ratio_real_part,
                           t_condition)
 from besselstruve._pykernels import horner, min_real_ratio_on_circle
-from besselstruve.verifier import (_oracle_coefficient, _ratio_arrays,
-                                   run_suites, sample_necessity_tuples,
+from besselstruve.verifier import (_context, _oracle_coefficient,
+                                   _ratio_arrays, run_suites,
+                                   sample_necessity_tuples,
                                    sample_sufficiency_tuples)
 
 from conftest import NU_GRID
@@ -330,20 +331,20 @@ class TestOracleCache:
                 with mpmath.workdps(dps):
                     nu_mp = mpmath.mpf(nu)
                     for n in (0, 1, 2, 7, 40):
-                        assert (_oracle_coefficient(nu_mp, n)
+                        assert (_oracle_coefficient(_context(dps), nu_mp, n)
                                 == _literal_coefficient(nu_mp, n))
 
     def test_precision_change_recomputes(self):
         with mpmath.workdps(50):
-            low = _oracle_coefficient(mpmath.mpf(2.5), 3)
+            low = _oracle_coefficient(_context(50), mpmath.mpf(2.5), 3)
         with mpmath.workdps(80):
-            high = _oracle_coefficient(mpmath.mpf(2.5), 3)
+            high = _oracle_coefficient(_context(80), mpmath.mpf(2.5), 3)
             assert high == _literal_coefficient(mpmath.mpf(2.5), 3)
         assert high != low
 
     def test_concurrent_calls_give_the_single_threaded_values(self):
-        # mpmath's precision is process-wide, so unserialized calls could
-        # restore another call's precision mid-sum and cache what it formed
+        # concurrent calls share the contexts and the stored factors and
+        # coefficients, so each value stored must be the one a lone call forms
         from besselstruve import verifier
         orders = [0.1 + k / 7 for k in range(30)]
         got = {}
@@ -370,6 +371,38 @@ class TestOracleCache:
         for nu in orders:
             want = highprec_sum_oracle("s1", nu)
             assert [got[nu, slot] for slot in range(4)] == [want] * 4, nu
+
+    def test_other_threads_keep_their_own_precision(self):
+        # the oracle computes in its own mpmath context, so a thread using
+        # mpmath beside it never sees the oracle's 169 bits
+        prec, interval = mpmath.mp.prec, sys.getswitchinterval()
+        third = mpmath.mpf(1) / 3
+        seen = set()
+        done = threading.Event()
+
+        def spin():
+            while True:
+                seen.add((mpmath.mp.prec, mpmath.mpf(1) / 3))
+                if done.is_set():
+                    return
+
+        spinner = threading.Thread(target=spin)
+        sys.setswitchinterval(1e-6)
+        try:
+            spinner.start()
+            got = [highprec_sum_oracle("l", 0.3 + k / 7, lam=0.3, alpha=0.2)
+                   for k in range(20)]
+        finally:
+            done.set()
+            spinner.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not spinner.is_alive()
+        assert seen == {(prec, third)}
+        assert type(got[0]) is mpmath.mpf
+        for dps in (15, 120):
+            with mpmath.workdps(dps):
+                assert highprec_sum_oracle("l", 0.3, lam=0.3,
+                                           alpha=0.2) == got[0]
 
     @pytest.mark.parametrize("selector, nu, n, lam, alpha, digits", [
         ("t_proof", 1.5, None, 0.3, 0.2,
@@ -420,7 +453,7 @@ def _reference_oracle(selector, nu, n=None, lam=0.0, alpha=0.0, a=1.0, b=-1.0,
         nu_mp = mpmath.mpf(nu)
         lam_mp = mpmath.mpf(lam)
         alpha_mp = mpmath.mpf(alpha)
-        c = lambda k: _oracle_coefficient(nu_mp, k)
+        c = lambda k: _oracle_coefficient(_context(50), nu_mp, k)
         if selector == "c":
             return c(n)
         if selector in ("m0", "m1", "m2", "m3"):
