@@ -1,8 +1,10 @@
 """Numeric inner loops: the package's one kernel module, in pure Python.
 
-Three primitives carry every double-precision hot path: the coefficient
-table, Horner evaluation at one point and the minimum of a ratio's real
-part on a circle.  The numeric modules import this one as ``kernels``
+Four primitives carry every double-precision hot path: the coefficient
+table, Horner evaluation at one point, the minimum of a ratio's real part
+on a circle, and a proof that this real part exceeds a given alpha at every
+sample of that circle from a few of them.  The last two evaluate each sample
+by one shared routine.  The numeric modules import this one as ``kernels``
 (``from . import _pykernels as kernels``), so every call goes through that
 one module-global name.
 """
@@ -89,44 +91,191 @@ def _half_circle(radius, n_points):
     return tuple(pts)
 
 
+def _pairs(num, den):
+    """(num_k, den_k) from the highest degree down; the shorter side is
+    zero-padded."""
+    pad = len(den) - len(num)
+    if pad > 0:
+        num = list(num) + [0.0] * pad
+    elif pad < 0:
+        den = list(den) + [0.0] * -pad
+    return tuple(zip(reversed(num), reversed(den)))
+
+
+def _ratio_point(pairs, z, floor):
+    """(|den(z)|, Re(num(z)/den(z)), num(z)) from one complex Horner loop.
+
+    The real part is None when |den(z)| < floor.  Both circle primitives
+    evaluate their samples here, so they see the same values.  The loop
+    forms the same products in the same order as `horner`.
+    """
+    n = d = 0j
+    for a, b in pairs:
+        n = n * z + a
+        d = d * z + b
+    dr = d.real
+    di = d.imag
+    d2 = dr * dr + di * di
+    ad = math.sqrt(d2)
+    if ad < floor:
+        return ad, None, n
+    return ad, (n.real * dr + n.imag * di) / d2, n
+
+
 def min_real_ratio_on_circle(num, den, radius, n_points, floor):
     """Minimum of Re(num(z)/den(z)) over z_j = radius*exp(2*pi*i*j/n_points).
 
     The coefficients must be real: then num and den take conjugate values at
     z_j and z_{n_points-j}, so the real part of the ratio and |den| repeat
-    there and only j = 0..n_points//2 is evaluated.  Each point runs one
-    complex Horner loop over both polynomials, which forms the same products
-    in the same order as `horner`.
+    there and only j = 0..n_points//2 is evaluated, each by `_ratio_point`.
 
     Returns (min_re, argmin_index, violation_index, min_abs_den); each index
     is -1 or lies in [0, n_points//2].  The scan stops at the first point
     with |den(z_j)| < floor; violation_index is that j (or -1), and min_re
     then covers only the scanned prefix.
     """
-    pad = len(den) - len(num)
-    if pad > 0:
-        num = list(num) + [0.0] * pad
-    elif pad < 0:
-        den = list(den) + [0.0] * -pad
-    pairs = tuple(zip(reversed(num), reversed(den)))
+    pairs = _pairs(num, den)
     min_re = math.inf
     argmin = -1
     min_abs = math.inf
     for j, z in enumerate(_half_circle(radius, n_points)):
-        n = d = 0j
-        for a, b in pairs:
-            n = n * z + a
-            d = d * z + b
-        dr = d.real
-        di = d.imag
-        d2 = dr * dr + di * di
-        ad = math.sqrt(d2)
+        ad, re, _ = _ratio_point(pairs, z, floor)
         if ad < min_abs:
             min_abs = ad
-        if ad < floor:
+        if re is None:
             return min_re, argmin, j, min_abs
-        re = (n.real * dr + n.imag * di) / d2
         if re < min_re:
             min_re = re
             argmin = j
     return min_re, argmin, -1, min_abs
+
+
+_U = 2.0 ** -53
+_STRIDE = 16
+_MAX_TERMS = 2 ** 20
+_MAX_SIZE = 2.0 ** 400
+_MIN_DEN = 2.0 ** -400
+_SLACK = 1.0 + 2.0 ** -30
+
+
+def ratio_exceeds_on_circle(num, den, radius, n_points, floor, alpha):
+    """True only if the scan of `min_real_ratio_on_circle` would find, at
+    every sample z_j, a computed |den(z_j)| >= floor and a computed
+    Re(num(z_j)/den(z_j)) > alpha.
+
+    False when an evaluated sample fails the scan's test or a precondition
+    of the proof below fails; the caller then runs the scan.  Samples are
+    evaluated by the scan's own `_ratio_point`, so an evaluated sample
+    passes exactly when the scan's test passes there.  Schedule: j =
+    n_points//2 first (where such minima usually sit), then every 16th j.
+    A gap between evaluated neighbours a < b is closed when the farthest
+    skipped sample on each side, (b-a)//2 from a and (b-a-1)//2 from b, is
+    bounded from that neighbour; the bound grows with the distance, so the
+    nearer samples follow.  Otherwise (a+b)//2 is evaluated and both halves
+    are tried again.
+
+    Proof of the bound for a sample j skipped at distance d from the
+    evaluated c.  u = 2^-53; P is the padded num or den with m
+    coefficients p_k; v is the number of lowest-degree coefficients that
+    vanish in both, and P~(w) = P(w)/w^v; hats are computed values.  The
+    proof needs 0 < radius < 1, m <= 2^20, sum |num_k| + |den_k| <= 2^400
+    (so no operation overflows) and (radius*(1 - 2^-40))^v >= 2^-400;
+    otherwise the function returns False.
+
+    1. Points.  The computed angle 2*pi*j/n_points (at most pi) is off by
+       at most 3u*pi, cos and sin by an ulp each, and each product rounds
+       once, so z_j lies within radius*2^-48 of radius*exp(2*pi*i*j/n).
+       Hence r_lo <= |z_j| <= rho with r_lo, rho = radius*(1 -+ 2^-40),
+       and |z_j - z_c| <= h_d = rho*(2*pi*d/n_points + 2^-40).
+    2. Horner.  A step is one complex product, of relative error at most
+       sqrt(2)*gamma_2 with or without fused multiply-add (Higham,
+       Accuracy and Stability of Numerical Algorithms, 2002, Lemma 3.5),
+       and one real addition, of relative error u.  Expanding as in
+       Higham's Section 5.1 gives |P^(z) - P(z)| <= (2*sqrt(2) + 1)*m*u*S
+       + O(u^2) for |z| <= rho, where S = sum |p_k|*rho^k.  The stated
+       H = (8m + 16)*u*S + 2^-1000 over-estimates that by more than twice
+       and adds the underflow of at most 2^-1074 per operation.
+    3. Chord.  The segment [z_c, z_j] lies in |w| <= rho, so
+       |P~(z_j) - P~(z_c)| <= h_d*S', S' = sum (k-v)*|p_k|*rho^(k-v-1).
+       With step 2, |P^_j/z_j^v - P^_c/z_c^v| <= Delta(d) = h_d*S' +
+       2*H/r_lo^v.
+    4. Ratio.  num^_j/den^_j equals the quotient of those reduced values,
+       so with R = |num^_c|/|den^_c| and L = |den^_c|/rho^v - Delta_den,
+       a lower bound of |den^_j/z_j^v|,
+       |num^_j/den^_j - num^_c/den^_c| <= E = (Delta_num + R*Delta_den)/L.
+    5. Floor.  |den^_j| >= r_lo^v*L, and the computed modulus rounds by at
+       most 3u, so r_lo^v*L >= max(floor, 2^-400)*slack gives the floor.
+    6. Rounding of the real part.  With |den^| >= 2^-400 the two products,
+       the sum of squares and the division leave the computed real part
+       within 8u*|num^/den^| + 2^-200 of Re(num^/den^), at c as at j,
+       where |num^_j/den^_j| <= R + E.
+
+    So re_j > alpha whenever re_c - alpha > (E + 16u*R + 2^-199)*slack.
+    slack = 1 + 2^-30 absorbs the 8u*E of step 6 and the rounding of this
+    bound arithmetic, whose terms are all nonnegative except L; requiring
+    Delta_den <= L keeps that one difference within a few ulp.
+    """
+    pairs = _pairs(num, den)
+    m = len(pairs)
+    top = m
+    while top and pairs[top - 1] == (0.0, 0.0):
+        top -= 1
+    rho = radius * (1.0 + 2.0 ** -40)
+    # S/rho^v and S' of each side, by Horner at rho over the reduced
+    # coefficients; size bounds every intermediate
+    s_num = s_den = ds_num = ds_den = size = 0.0
+    for a, b in pairs[:top]:
+        ds_num = ds_num * rho + s_num
+        s_num = s_num * rho + abs(a)
+        ds_den = ds_den * rho + s_den
+        s_den = s_den * rho + abs(b)
+        size += abs(a) + abs(b)
+    grow = rho ** (m - top)
+    shrink = (radius * (1.0 - 2.0 ** -40)) ** (m - top)
+    if not (0.0 < radius < 1.0 and m <= _MAX_TERMS and size <= _MAX_SIZE
+            and shrink >= _MIN_DEN):
+        return False
+    gamma = (8 * m + 16) * _U
+    step = _TWO_PI * rho / n_points
+    edge = rho * 2.0 ** -40
+    # Delta(d) = d*per + fixed on each side: h_d*S' + 2*H/r_lo^v
+    per_num = step * ds_num
+    per_den = step * ds_den
+    fixed_num = edge * ds_num + (gamma * s_num * grow + 2.0 ** -1000) * 2.0 / shrink
+    fixed_den = edge * ds_den + (gamma * s_den * grow + 2.0 ** -1000) * 2.0 / shrink
+    floor_lo = max(floor, _MIN_DEN) * _SLACK / shrink
+    pts = _half_circle(radius, n_points)
+    seen = {}
+
+    def passes(j):
+        """The scan's own test at sample j; keeps what `covered` needs."""
+        ad, re, n = _ratio_point(pairs, pts[j], floor)
+        if re is None or not re > alpha:
+            return False
+        ratio = abs(n) / ad
+        seen[j] = (re - alpha, ad / grow, ratio, 16.0 * _U * ratio + 2.0 ** -199)
+        return True
+
+    def covered(c, d):
+        """Whether the bound from sample c holds at distance d (steps 4-6)."""
+        gap, base, ratio, rounding = seen[c]
+        drift = d * per_den + fixed_den
+        low = base - drift
+        return (drift <= low and low >= floor_lo and gap > (
+            (d * per_num + fixed_num + ratio * drift) / low + rounding) * _SLACK)
+
+    last = n_points // 2
+    marks = [*range(0, last, _STRIDE), last]
+    if not (passes(last) and all(map(passes, marks[:-1]))):
+        return False
+    gaps = list(zip(marks, marks[1:]))
+    while gaps:
+        a, b = gaps.pop()
+        if b - a < 2 or (covered(a, (b - a) // 2)
+                         and (b - a == 2 or covered(b, (b - a - 1) // 2))):
+            continue
+        mid = (a + b) // 2
+        if not passes(mid):
+            return False
+        gaps += ((a, mid), (mid, b))
+    return True

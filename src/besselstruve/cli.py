@@ -154,7 +154,7 @@ def _cmd_eval(args) -> int:
     return EXIT_HOLDS
 
 
-def _series_check(args, p: ClassParams, tol: float) -> int:
+def _series_check(args, p: ClassParams) -> int:
     from .operators import (Outcome, coefficient_sum_L, coefficient_sum_T,
                             read_series)
 
@@ -195,7 +195,7 @@ def _cmd_check(args) -> int:
     _check_lambda(args.condition, (args.lam,))
     p = ClassParams(args.lam, args.alpha)
     if args.series_file is not None:
-        return _series_check(args, p, tol)
+        return _series_check(args, p)
     if args.nu is None:
         raise ParameterError("--nu is required unless --series-file is given")
     form = ConditionForm(args.form)

@@ -62,10 +62,14 @@ class DiskSampling:
     def __post_init__(self):
         if not (0.0 < self.radius < 1.0):
             raise ParameterError(f"radius must lie in (0, 1), got {self.radius!r}")
+        if not isinstance(self.num_points, int) or isinstance(self.num_points, bool):
+            raise ParameterError(
+                f"num_points must be an integer, got {self.num_points!r}")
         if self.num_points < 64:
             raise ParameterError(f"need at least 64 points, got {self.num_points!r}")
-        if not (self.denominator_floor > 0.0):
-            raise ParameterError("denominator floor must be positive")
+        if not (0.0 < self.denominator_floor < math.inf):
+            raise ParameterError(f"denominator floor must be positive and "
+                                 f"finite, got {self.denominator_floor!r}")
 
 
 def _ratio_arrays(f: NormalizedSeries, lam: float, kind: str):
@@ -511,11 +515,17 @@ def _suite_ode(seed: int) -> list[CheckResult]:
 def _suite_sufficiency(seed: int) -> list[CheckResult]:
     s = DiskSampling(radius=0.99, num_points=512)
     results = []
-    for cond, checker in (("t", min_real_part_T), ("l", min_real_part_L)):
+    for cond, kind in (("t", "T"), ("l", "L")):
         tuples = sample_sufficiency_tuples(cond, 30, seed)
         failures = []
         for nu, p, _ in tuples:
-            m = checker(kernel_series(nu), p.lam, s)
+            num, den = _ratio_arrays(kernel_series(nu), p.lam, kind)
+            # the proof settles the scan's verdict; only when it cannot
+            # close does the scan itself run
+            if kernels.ratio_exceeds_on_circle(num, den, s.radius, s.num_points,
+                                               s.denominator_floor, p.alpha):
+                continue
+            m = _circle_min(num, den, s)
             if m <= p.alpha:
                 failures.append((nu, p.lam, p.alpha, m))
         results.append(CheckResult(

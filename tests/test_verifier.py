@@ -18,9 +18,11 @@ from besselstruve import (ClassParams, DenominatorDegeneracyError, DiskSampling,
                           l_condition, min_real_part_L, min_real_part_T,
                           ode_residual, phi_series, ratio_real_part,
                           t_condition)
-from besselstruve._pykernels import horner, min_real_ratio_on_circle
+from besselstruve import _pykernels, verifier
+from besselstruve._pykernels import (horner, min_real_ratio_on_circle,
+                                     ratio_exceeds_on_circle)
 from besselstruve.verifier import (_context, _oracle_coefficient,
-                                   _ratio_arrays, run_suites,
+                                   _ratio_arrays, _suite_sufficiency, run_suites,
                                    sample_necessity_tuples,
                                    sample_sufficiency_tuples)
 
@@ -41,6 +43,19 @@ class TestDiskSampling:
             DiskSampling(num_points=32)
         with pytest.raises(ParameterError):
             DiskSampling(denominator_floor=0.0)
+
+    @pytest.mark.parametrize("kw", (
+        {"num_points": 64.5}, {"num_points": 64.0}, {"num_points": True},
+        {"num_points": "512"}, {"denominator_floor": math.inf},
+        {"denominator_floor": math.nan}))
+    def test_rejects_non_integer_points_and_non_finite_floor(self, kw):
+        with pytest.raises(ParameterError):
+            DiskSampling(0.5, **{"num_points": 64, **kw})
+
+    def test_non_integer_points_rejected_before_the_scan(self):
+        # was a bare TypeError from range() inside the half-circle table
+        with pytest.raises(ParameterError, match="integer"):
+            min_real_part_T(kernel_series(5.0), 0.0, DiskSampling(0.5, 64.5))
 
 
 class TestMinRealPart:
@@ -315,6 +330,122 @@ class TestCircleScan:
         padded = num + [0.0, 0.0]
         assert got == min_real_ratio_on_circle(padded, den, 0.9, 128, 1e-12)
         assert got == _plain_scan(num, den, _symmetric_points(0.9, 128), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The sufficiency suite's proof: never True where the scan would fail, and
+# the suite's verdicts and details exactly those of the scan alone.
+
+def _reference_disk_checks(seed):
+    """The sufficiency suite's t/l loop before the proof: the scan alone."""
+    s = DiskSampling(radius=0.99, num_points=512)
+    results = []
+    for cond, checker in (("t", min_real_part_T), ("l", min_real_part_L)):
+        tuples = verifier.sample_sufficiency_tuples(cond, 30, seed)
+        failures = []
+        for nu, p, _ in tuples:
+            m = checker(kernel_series(nu), p.lam, s)
+            if m <= p.alpha:
+                failures.append((nu, p.lam, p.alpha, m))
+        results.append(verifier.CheckResult(
+            f"disk minimum exceeds alpha ({cond} condition, 30 tuples)",
+            not failures, f"failures: {failures!r}" if failures else
+            "min real part > alpha at r=0.99 for all tuples"))
+    return results
+
+
+def _counting_points(monkeypatch):
+    """Count `_ratio_point` calls, which both circle primitives make."""
+    calls = [0]
+    point = _pykernels._ratio_point
+
+    def counted(*args):
+        calls[0] += 1
+        return point(*args)
+
+    monkeypatch.setattr(_pykernels, "_ratio_point", counted)
+    return calls
+
+
+class TestSufficiencyProof:
+    # the strategy of TestCircleScan.test_agrees_with_full_scan_on_random_polynomials
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(num=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=30),
+           den=st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=30),
+           radius=st.floats(0.05, 0.99),
+           n_points=st.integers(64, 300),
+           floor=st.sampled_from((1e-12, 0.05, 0.3)),
+           delta=st.sampled_from((0.0, 1e-15, 1e-9, 1e-3, 0.1, -0.1)))
+    def test_true_only_where_the_scan_passes(self, num, den, radius, n_points,
+                                             floor, delta):
+        scale = sum(abs(b) * radius ** k for k, b in enumerate(den, start=1))
+        den = [0.0, 1.0] + [b * 0.9 / max(scale, 0.9) for b in den]
+        min_re, _, violation, min_abs = min_real_ratio_on_circle(
+            num, den, radius, n_points, floor)
+        alpha = min_re - delta
+        if ratio_exceeds_on_circle(num, den, radius, n_points, floor, alpha):
+            assert violation == -1 and min_re > alpha
+        assert not ratio_exceeds_on_circle(num, den, radius, n_points, floor,
+                                           min_re)
+        assert not ratio_exceeds_on_circle(num, den, radius, n_points,
+                                           min_abs * (1.0 + 1e-9), alpha)
+
+    @pytest.mark.parametrize("kind", ("T", "L"))
+    @pytest.mark.parametrize("lam", (0.0, 0.5))
+    def test_minimum_at_the_last_sample_is_seen(self, kind, lam):
+        # positive kernel coefficients put the minimum at z = -r, the last
+        # sample of the half circle
+        for nu in (2.0, 10.0, 40.0):
+            num, den = _ratio_arrays(kernel_series(nu), lam, kind)
+            min_re, argmin, _, min_abs = min_real_ratio_on_circle(
+                num, den, 0.99, 512, 1e-12)
+            assert argmin == 256
+            assert not ratio_exceeds_on_circle(num, den, 0.99, 512, 1e-12, min_re)
+            assert not ratio_exceeds_on_circle(num, den, 0.99, 512,
+                                               min_abs * (1.0 + 1e-9), 0.0)
+            assert ratio_exceeds_on_circle(num, den, 0.99, 512, 1e-12,
+                                           min_re - 1e-3)
+
+    def test_refuses_what_the_proof_does_not_cover(self):
+        num, den = _ratio_arrays(kernel_series(5.0), 0.0, "T")
+        assert ratio_exceeds_on_circle(num, den, 0.5, 64, 1e-12, 0.0)
+        for radius in (1.0, 1.5):
+            assert not ratio_exceeds_on_circle(num, den, radius, 64, 1e-12, -10.0)
+        for bad in (math.nan, math.inf):
+            assert not ratio_exceeds_on_circle(num + [bad], den, 0.5, 64, 1e-12,
+                                               -10.0)
+        assert not ratio_exceeds_on_circle(num, den, 0.5, 64, 1e-12, math.nan)
+
+    def test_suite_equals_the_scan_alone(self):
+        for seed in range(40):
+            assert _suite_sufficiency(seed)[:2] == _reference_disk_checks(seed)
+
+    def test_failure_details_equal_the_scan_alone(self, monkeypatch):
+        sample = verifier.sample_sufficiency_tuples
+
+        def above_the_disk_minimum(cond, count, seed, gate=0.05):
+            out = sample(cond, count, seed, gate)
+            if cond in ("t", "l"):
+                out = [(nu, ClassParams(p.lam, 0.999), d) for nu, p, d in out]
+            return out
+
+        monkeypatch.setattr(verifier, "sample_sufficiency_tuples",
+                            above_the_disk_minimum)
+        got = _suite_sufficiency(2024)[:2]
+        assert got == _reference_disk_checks(2024)
+        assert all(not r.passed and r.detail.startswith("failures: [")
+                   for r in got)
+
+    def test_suite_proves_every_tuple_from_few_samples(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(verifier, "_circle_min",
+                            lambda *args: scans.append(args))
+        calls = _counting_points(monkeypatch)
+        for seed in (3, 11, 2024):
+            _suite_sufficiency(seed)
+        assert scans == []
+        # 17 scheduled samples of 257 per tuple, 60 tuples per suite
+        assert calls[0] <= 3 * 60 * 20
 
 
 def _literal_coefficient(nu, n):
