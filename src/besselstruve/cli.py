@@ -21,11 +21,12 @@ from . import __version__
 from ._files import write_then_rename
 from ._pykernels import backend_name
 from .criteria import (CONDITION_NAMES, ClassParams, ConditionForm,
-                       DixitPalParams, _evaluate, _lhs_slab, _rule, _scale,
+                       DixitPalParams, _evaluate, _lhs_slab, _resolve,
                        critical_nu)
 from .errors import (BesselStruveError, BracketError, DomainError,
                      InconclusiveError, ParameterError)
-from .series import _eval_kernel, _operator_order, moments
+from .series import (_check_tol, _eval_kernel, _moment_sums, _operator_order,
+                     moments)
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -35,18 +36,17 @@ EXIT_INCONCLUSIVE = 3
 # the most points of a `scan` range, and of its lambda x alpha grid
 MAX_GRID_POINTS = 1_000_000
 
-_CONFIG_KEYS = {
-    "tol": float,
-    "margin_tol": float,
-    "nu_tol": float,
-    "seed": int,
-}
+# `scan` rows per write: a region_scan slab of 400 cells is one write per nu,
+# and a 1000 x 1000 slab never holds more than this many row strings
+_ROWS_PER_WRITE = 4096
 
-_DEFAULTS = {
-    "tol": 1e-12,
-    "margin_tol": 1e-10,
-    "nu_tol": 1e-10,
-    "seed": 2024,
+# config key -> (type, default); a flag left unset takes the config file's
+# value, else the default
+_CONFIG = {
+    "tol": (float, 1e-12),
+    "margin_tol": (float, 1e-10),
+    "nu_tol": (float, 1e-10),
+    "seed": (int, 2024),
 }
 
 
@@ -56,7 +56,7 @@ def _fmt(x: float) -> str:
 
 
 def _load_config(path: Optional[str]) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (_, default) in _CONFIG.items()}
     if path is None:
         return cfg
     try:
@@ -70,22 +70,17 @@ def _load_config(path: Optional[str]) -> dict:
                     raise ParameterError(
                         f"{path}:{lineno}: expected 'key = value', got {line!r}")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _CONFIG:
                     raise ParameterError(
                         f"{path}:{lineno}: unknown config key {key!r}")
                 try:
-                    cfg[key] = _CONFIG_KEYS[key](val.strip())
+                    cfg[key] = _CONFIG[key][0](val.strip())
                 except ValueError as exc:
                     raise ParameterError(
                         f"{path}:{lineno}: bad {key} value: {exc}") from exc
     except OSError as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
     return cfg
-
-
-def _resolve(args, cfg: dict, key: str):
-    val = getattr(args, key, None)
-    return cfg[key] if val is None else val
 
 
 def _parse_range(text: str):
@@ -109,21 +104,22 @@ def _parse_range(text: str):
 
 
 def _dixit_pal(args) -> Optional[DixitPalParams]:
-    """The --A/--B/--tau-abs triple, or None: required by a condition on the
-    Dixit-Pal class and refused by every other condition."""
-    given = [args.A is not None, args.B is not None, args.tau_abs is not None]
-    dixit_pal = _rule(args.condition)[1].dixit_pal
-    if not any(given):
-        if dixit_pal:
-            raise ParameterError(
-                f"condition {args.condition!r} needs --A, --B and --tau-abs")
+    """The --A/--B/--tau-abs triple, or None when no flag is given."""
+    given = (args.A, args.B, args.tau_abs)
+    if given == (None, None, None):
         return None
-    if not all(given):
+    if None in given:
         raise ParameterError("--A, --B and --tau-abs must be given together")
-    if not dixit_pal:
-        raise ParameterError(
-            f"condition {args.condition!r} takes no DixitPalParams")
-    return DixitPalParams(args.A, args.B, args.tau_abs)
+    return DixitPalParams(*given)
+
+
+def _condition(args):
+    """(triple, (name, form, rule, scale)): `_dixit_pal` and the
+    `criteria._resolve` of the condition, --form and triple, which names
+    the flags when a triple is missing."""
+    extra = _dixit_pal(args)
+    return extra, _resolve(args.condition, ConditionForm(args.form), extra,
+                           "--A, --B and --tau-abs")
 
 
 def _check_lambda(condition: str, lams) -> None:
@@ -137,13 +133,11 @@ def _check_lambda(condition: str, lams) -> None:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
-    tol = _resolve(args, cfg, "tol")
     z = complex(args.z)
     # every value first, so an error leaves stdout empty
-    s, n_top, tail = _eval_kernel(args.nu, z, tol)
-    m = moments(args.nu, tol)
-    print(f"nu = {_fmt(args.nu)}   z = {z}   tol = {_fmt(tol)}")
+    s, n_top, tail = _eval_kernel(args.nu, z, args.tol)
+    m = moments(args.nu, args.tol)
+    print(f"nu = {_fmt(args.nu)}   z = {z}   tol = {_fmt(args.tol)}")
     print(f"S(z)        = {s}")
     print(f"z*S(z)      = {z * s}")
     print(f"z*(2-S(z))  = {z * (2.0 - s)}")
@@ -162,7 +156,7 @@ def _series_check(args, p: ClassParams) -> int:
         raise ParameterError(
             f"--series-file applies the coefficient test; condition "
             f"{args.condition!r} is about a fixed operator, not a user series")
-    _dixit_pal(args)
+    _condition(args)  # refuses a Dixit-Pal triple
     try:
         f = read_series(args.series_file)
     except OSError as exc:
@@ -190,17 +184,14 @@ def _series_check(args, p: ClassParams) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = _load_config(args.config)
-    tol = _resolve(args, cfg, "tol")
     _check_lambda(args.condition, (args.lam,))
     p = ClassParams(args.lam, args.alpha)
     if args.series_file is not None:
         return _series_check(args, p)
     if args.nu is None:
         raise ParameterError("--nu is required unless --series-file is given")
-    form = ConditionForm(args.form)
-    extra = _dixit_pal(args)
-    verdict = _evaluate(args.condition, args.nu, p, extra, form, tol)
+    extra, (_, form, _, _) = _condition(args)
+    verdict = _evaluate(args.condition, args.nu, p, extra, form, args.tol)
     print(f"condition : {args.condition} (form {verdict.condition_form.value})")
     print(f"nu        = {_fmt(args.nu)}")
     print(f"lambda    = {_fmt(p.lam)}   alpha = {_fmt(p.alpha)}")
@@ -212,14 +203,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    """The grids are checked once; weights once per (lambda, alpha) cell and
-    rhs and its text once per alpha; then `_lhs_slab` evaluates each
-    (lambda, alpha) slab from one `moments` call per nu, and only lhs and
-    margin are formatted (as `_fmt` does) per row."""
-    cfg = _load_config(args.config)
-    tol = _resolve(args, cfg, "tol")
-    form, rule = _rule(args.condition, ConditionForm(args.form))
-    scale = _scale(rule, _dixit_pal(args))
+    """The condition, grids and tol are checked once; weights once per
+    (lambda, alpha) cell and rhs and its text once per alpha; then
+    `_lhs_slab` evaluates each (lambda, alpha) slab from S(1)..S'''(1),
+    summed from one table per nu (`_moment_sums`), and only lhs and margin
+    are formatted (as `_fmt` does) per row."""
+    _, (_, form, rule, scale) = _condition(args)
     nus = _parse_range(args.nu)
     alphas = _parse_range(args.alpha)
     lams = _parse_range(args.lam)
@@ -232,6 +221,7 @@ def _cmd_scan(args) -> int:
         ClassParams(lams[0], alpha)
     for lam in lams:
         ClassParams(lam, alphas[0])
+    tol = _check_tol(args.tol)
     columns = []
     for alpha in alphas:
         rhs = rule.rhs(alpha)
@@ -243,23 +233,27 @@ def _cmd_scan(args) -> int:
         for alpha, a_text, rhs, rhs_text in columns:
             weights.append(rule.weights(lam, alpha))
             cells.append((f"{lam_text},{a_text},", rhs, rhs_text))
-    # each nu's rows go to the temporary file as soon as they are formed, so
-    # memory holds one slab; an error anywhere leaves no file behind
+    # rows go to the temporary file _ROWS_PER_WRITE at a time, so memory
+    # holds one slab's cells but never all its rows; an error anywhere
+    # leaves no file behind
     try:
         with write_then_rename(args.output) as fh:
             fh.write("condition,form,nu,lambda,alpha,lhs,rhs,margin,holds\n")
             for nu in nus:
-                s = moments(_operator_order(nu), tol)
+                sums = _moment_sums(_operator_order(nu).nu, tol)
                 head = f"{args.condition},{form.value},{_fmt(nu)},"
-                lhs_slab = _lhs_slab((s.s0, s.s1, s.s2, s.s3), weights, scale,
-                                     rule.shift)
-                rows = []
-                for lhs, (point, rhs, rhs_text) in zip(lhs_slab, cells):
-                    margin = rhs - lhs
-                    rows.append(f"{head}{point}{lhs:.17g}{rhs_text}"
-                                f"{margin:.17g},"
-                                f"{'true' if margin >= 0.0 else 'false'}\n")
-                fh.write("".join(rows))
+                for start in range(0, len(cells), _ROWS_PER_WRITE):
+                    stop = start + _ROWS_PER_WRITE
+                    lhs_slab = _lhs_slab(sums, weights[start:stop], scale,
+                                         rule.shift)
+                    rows = []
+                    for lhs, (point, rhs, rhs_text) in zip(lhs_slab,
+                                                           cells[start:stop]):
+                        margin = rhs - lhs
+                        rows.append(f"{head}{point}{lhs:.17g}{rhs_text}"
+                                    f"{margin:.17g},"
+                                    f"{'true' if margin >= 0.0 else 'false'}\n")
+                    fh.write("".join(rows))
     except OSError as exc:
         raise ParameterError(f"cannot write {args.output}: {exc}") from exc
     print(f"wrote {len(nus) * len(cells)} rows to {args.output}")
@@ -267,10 +261,6 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    cfg = _load_config(args.config)
-    tol = _resolve(args, cfg, "tol")
-    margin_tol = _resolve(args, cfg, "margin_tol")
-    nu_tol = _resolve(args, cfg, "nu_tol")
     _check_lambda(args.condition, (args.lam,))
     p = ClassParams(args.lam, args.alpha)
     lo, _, hi = args.bracket.partition(":")
@@ -278,12 +268,11 @@ def _cmd_critical(args) -> int:
         bracket = (float(lo), float(hi))
     except ValueError as exc:
         raise ParameterError(f"bad bracket {args.bracket!r}: {exc}") from exc
-    form = ConditionForm(args.form)
-    extra = _dixit_pal(args)
+    extra, (_, form, _, _) = _condition(args)
     nu_star = critical_nu(args.condition, p, extra, bracket,
-                          margin_tol, nu_tol, form, tol)
-    verdict = _evaluate(args.condition, nu_star, p, extra, form, tol)
-    print(f"condition : {args.condition} (form {form.value})")
+                          args.margin_tol, args.nu_tol, form, args.tol)
+    verdict = _evaluate(args.condition, nu_star, p, extra, form, args.tol)
+    print(f"condition : {args.condition} (form {args.form})")
     print(f"lambda    = {_fmt(p.lam)}   alpha = {_fmt(p.alpha)}")
     print(f"nu*       = {_fmt(nu_star)}")
     print(f"margin    = {_fmt(verdict.margin)}")
@@ -293,10 +282,8 @@ def _cmd_critical(args) -> int:
 def _cmd_verify(args) -> int:
     from .verifier import SUITE_NAMES, run_suites
 
-    cfg = _load_config(args.config)
-    seed = _resolve(args, cfg, "seed")
     names = SUITE_NAMES if args.suite == "default" else (args.suite,)
-    results = run_suites(names, seed)
+    results = run_suites(names, args.seed)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -305,17 +292,16 @@ def _cmd_verify(args) -> int:
             failed += 1
         print(f"{status}  {r.name.ljust(width)}  {r.detail}")
     print(f"{len(results) - failed}/{len(results)} checks passed "
-          f"(seed {seed}, backend {backend_name()})")
+          f"(seed {args.seed}, backend {backend_name()})")
     return EXIT_HOLDS if failed == 0 else EXIT_FAILS
 
 
 # ------------------------------------------------------------------- parsing
 
 
-def _add_common(sub, config=True):
-    if config:
-        sub.add_argument("--config", metavar="PATH",
-                         help="key-value file with defaults (flags win)")
+def _add_common(sub):
+    sub.add_argument("--config", metavar="PATH",
+                     help="key-value file with defaults (flags win)")
     sub.add_argument("--tol", type=float, default=None,
                      help="series truncation tolerance (default 1e-12)")
 
@@ -420,6 +406,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for key, value in _load_config(args.config).items():
+            if getattr(args, key, None) is None:
+                setattr(args, key, value)
         return args.func(args)
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

@@ -30,6 +30,9 @@ stated form's s1 weight is derived, not transcribed
 functions call it with a one-cell slab, ``scan`` with a whole (lambda,
 alpha) slab per nu.
 
+`_resolve` is the one place that turns a condition into a table row and
+lhs scale; every function here, the verifier and the CLI go through it.
+
 The starlike-type criterion circulates in two variants that differ in the
 coefficient multiplying S'_nu(1): re-deriving the bound from the coefficient
 inequality gives (1 - lambda*alpha + 2*lambda) ("proof" form), while the
@@ -126,11 +129,6 @@ class MembershipVerdict:
     condition_form: ConditionForm
 
 
-def _verdict(lhs: float, rhs: float, form: ConditionForm) -> MembershipVerdict:
-    margin = rhs - lhs
-    return MembershipVerdict(lhs, rhs, margin, margin >= 0.0, form)
-
-
 def _check_params(p) -> ClassParams:
     if not isinstance(p, ClassParams):
         raise ParameterError(f"expected ClassParams, got {p!r}")
@@ -195,29 +193,43 @@ _RULES = {
 }
 
 
-def _rule(condition: str, form: ConditionForm = ConditionForm.PROOF):
-    """(verdict form, `_Rule`) of a named condition.
+def _resolve(condition, form: ConditionForm = ConditionForm.PROOF, d=None,
+             needs: Optional[str] = "DixitPalParams"):
+    """(name, verdict form, `_Rule`, lhs scale) of a condition.
 
-    Conditions without a stated form ignore ``form`` and report PROOF.
+    The name is case-folded (a non-string is unknown).  Only "t" has a
+    stated form; every other condition reports PROOF.  A Dixit-Pal rule
+    needs the triple ``d`` and has scale (A-B)|tau|; ``needs`` words the
+    refusal of a missing one, and ``needs=None`` gives scale None instead,
+    for a caller that draws the triple itself.  Every other rule refuses a
+    triple and has scale 1.0.
     """
-    if condition not in CONDITION_NAMES:
+    name = condition.lower() if isinstance(condition, str) else condition
+    if name not in CONDITION_NAMES:
         raise ParameterError(
-            f"unknown condition {condition!r}; expected one of {CONDITION_NAMES}"
-        )
-    if condition != "t":
+            f"unknown condition {name!r}; expected one of {CONDITION_NAMES}")
+    if name != "t":
         form = ConditionForm.PROOF
     elif not isinstance(form, ConditionForm):
         raise ParameterError(f"unknown condition form {form!r}")
-    return form, _RULES[condition, form]
-
-
-def _scale(rule: _Rule, d) -> float:
-    """The lhs factor: (A-B)|tau| for a Dixit-Pal rule, else 1.0 (d ignored)."""
+    rule = _RULES[name, form]
     if not rule.dixit_pal:
-        return 1.0
-    if not isinstance(d, DixitPalParams):
-        raise ParameterError(f"expected DixitPalParams, got {d!r}")
-    return (d.a - d.b) * d.tau_abs
+        if d is not None:
+            raise ParameterError(f"condition {name!r} takes no DixitPalParams")
+        return name, form, rule, 1.0
+    if isinstance(d, DixitPalParams):
+        return name, form, rule, (d.a - d.b) * d.tau_abs
+    if needs is None:
+        return name, form, rule, None
+    raise ParameterError(f"condition {name!r} needs {needs}")
+
+
+def _cell(name: str, rule: _Rule, p: ClassParams):
+    """(one-cell weight slab, rhs) of a resolved rule at ``p``; starlike and
+    convex take lambda = 0, whatever ``p.lam``."""
+    p = _check_params(p)
+    lam = 0.0 if name in ("starlike", "convex") else p.lam
+    return [rule.weights(lam, p.alpha)], rule.rhs(p.alpha)
 
 
 def _lhs_slab(sums: tuple[float, float, float, float],
@@ -231,28 +243,17 @@ def _lhs_slab(sums: tuple[float, float, float, float],
             for w3, w2, w1, w0 in weights]
 
 
-def _prepare(condition: str, p: ClassParams, d: Optional[DixitPalParams],
-             form: ConditionForm):
-    """(verdict form, one-cell weight slab, rhs, scale, shift) of a condition
-    at one (lambda, alpha); starlike and convex take lambda = 0, whatever
-    ``p.lam``."""
-    p = _check_params(p)
-    form, rule = _rule(condition, form)
-    scale = _scale(rule, d)
-    lam = 0.0 if condition in ("starlike", "convex") else p.lam
-    return (form, [rule.weights(lam, p.alpha)], rule.rhs(p.alpha), scale,
-            rule.shift)
-
-
 def _evaluate(condition: str, nu, p: ClassParams, d: Optional[DixitPalParams],
               form: ConditionForm, tol: float) -> MembershipVerdict:
     """Verdict of a named condition at one point, from one `_moment_sums`
     call."""
     order = _operator_order(nu)
-    form, cell, rhs, scale, shift = _prepare(condition, p, d, form)
+    name, form, rule, scale = _resolve(condition, form, d)
+    cell, rhs = _cell(name, rule, p)
     sums = _moment_sums(order.nu, _check_tol(tol))
-    lhs, = _lhs_slab(sums, cell, scale, shift)
-    return _verdict(lhs, rhs, form)
+    lhs, = _lhs_slab(sums, cell, scale, rule.shift)
+    margin = rhs - lhs
+    return MembershipVerdict(lhs, rhs, margin, margin >= 0.0, form)
 
 
 def t_condition(nu, p: ClassParams, form: ConditionForm = ConditionForm.PROOF,
@@ -322,20 +323,16 @@ def margin_function(condition: str, p: ClassParams,
                     tol: float = 1e-12) -> Callable[[float], float]:
     """margin(nu) for a named condition with all other parameters fixed.
 
-    The rule, its weights, rhs, scale and tol are checked and prepared
-    once.  Each call checks nu (a float in (-1/2, inf) directly, anything
-    else through `_operator_order`, which raises the DomainError), sums
-    s0..s3 from one cached truncated table (`_moment_sums`) and applies
-    a one-cell `_lhs_slab`: it returns the margin of `_evaluate` bit for
-    bit.
+    `_resolve` checks the condition, form and triple, and the weights,
+    rhs, scale and tol are prepared once.  Each call checks nu (a float in
+    (-1/2, inf) directly, anything else through `_operator_order`, which
+    raises the DomainError), sums s0..s3 from one cached truncated table
+    (`_moment_sums`) and applies a one-cell `_lhs_slab`: it returns the
+    margin of `_evaluate` bit for bit.
     """
-    cond = condition.lower()
-    _, rule = _rule(cond, form)
-    if rule.dixit_pal and extra is None:
-        raise ParameterError(f"{cond} condition needs DixitPalParams")
-    if not rule.dixit_pal and extra is not None:
-        raise ParameterError(f"condition {cond!r} takes no DixitPalParams")
-    _, cell, rhs, scale, shift = _prepare(cond, p, extra, form)
+    name, _, rule, scale = _resolve(condition, form, extra)
+    cell, rhs = _cell(name, rule, p)
+    shift = rule.shift
     tol = _check_tol(tol)
 
     def margin(nu: float) -> float:

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from . import _pykernels as kernels
 from .criteria import (ClassParams, ConditionForm, DixitPalParams, _evaluate,
-                       _rule, l_condition, qnu_condition, t_condition)
+                       _resolve, l_condition, qnu_condition, t_condition)
 from .errors import DenominatorDegeneracyError, DomainError, ParameterError
 from .operators import (NormalizedSeries, Outcome, bessel_struve_transform,
                         coefficient_sum_L, coefficient_sum_T, kernel_series,
@@ -67,9 +67,13 @@ class DiskSampling:
                 f"num_points must be an integer, got {self.num_points!r}")
         if self.num_points < 64:
             raise ParameterError(f"need at least 64 points, got {self.num_points!r}")
-        if not (0.0 < self.denominator_floor < math.inf):
-            raise ParameterError(f"denominator floor must be positive and "
-                                 f"finite, got {self.denominator_floor!r}")
+        _check_floor(self.denominator_floor)
+
+
+def _check_floor(floor: float) -> None:
+    if not (0.0 < floor < math.inf):
+        raise ParameterError(
+            f"denominator floor must be positive and finite, got {floor!r}")
 
 
 def _ratio_arrays(f: NormalizedSeries, lam: float, kind: str):
@@ -129,8 +133,10 @@ def min_real_part_L(f: NormalizedSeries, lam: float,
 
 def ratio_real_part(f: NormalizedSeries, lam: float, z, kind: str = "T",
                     floor: float = 1e-12) -> float:
-    """Real part of the class-defining ratio at one point."""
+    """Real part of the class-defining ratio at one point.  ``floor`` must
+    be positive and finite, as `DiskSampling`'s."""
     num, den = _ratio_arrays(f, lam, kind)
+    _check_floor(floor)
     z = complex(z)
     nr, ni = kernels.horner(num, z.real, z.imag)
     dr, di = kernels.horner(den, z.real, z.imag)
@@ -405,11 +411,12 @@ def sample_sufficiency_tuples(condition: str, count: int, seed: int,
     Rejection-samples nu upward of the critical region so the disk checks
     stay away from equality cases.  The margin is the criteria table's
     (`criteria._evaluate`, proof form, tol 1e-12); (A, B, |tau|) is drawn
-    only for a Dixit-Pal condition, and starlike and convex take lambda = 0
-    there, whatever lambda is drawn.
+    only for a condition that `criteria._resolve` finds on the Dixit-Pal
+    class, and starlike and convex take lambda = 0 there, whatever lambda
+    is drawn.
     """
     rng = random.Random((seed, condition, "sufficiency").__repr__())
-    dixit_pal = _rule(condition)[1].dixit_pal
+    dixit_pal = _resolve(condition, needs=None)[2].dixit_pal
     out = []
     attempts = 0
     while len(out) < count:
@@ -595,8 +602,6 @@ def _suite_highprec(seed: int) -> list[CheckResult]:
         worst <= 1e-10, f"max abs diff {worst:.3e} at {worst_at}")]
 
 
-SUITE_NAMES = ("moments", "ode", "sufficiency", "necessity", "highprec")
-
 _SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
     "moments": _suite_moments,
     "ode": _suite_ode,
@@ -604,6 +609,8 @@ _SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
     "necessity": _suite_necessity,
     "highprec": _suite_highprec,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names: Sequence[str], seed: int = 2024) -> list[CheckResult]:

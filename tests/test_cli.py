@@ -196,6 +196,43 @@ class TestScan:
         assert out_path.read_text() == "earlier run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
+    def test_rows_are_written_in_chunks(self, tmp_path, capsys, monkeypatch):
+        import contextlib
+
+        from besselstruve import cli
+
+        rows_per_write = []
+        real = cli.write_then_rename
+
+        @contextlib.contextmanager
+        def counted(path):
+            with real(path) as fh:
+                class Counting:
+                    def write(self, text):
+                        rows_per_write.append(text.count("\n"))
+                        return fh.write(text)
+                yield Counting()
+
+        monkeypatch.setattr(cli, "write_then_rename", counted)
+        # a 20 x 20 slab, as the benchmark's region scan writes: one write
+        # per nu after the header
+        assert run(capsys, "scan", "t", "--nu", "1:2:2", "--lambda",
+                   "0:0.9:20", "--alpha", "0:0.9:20", "--output",
+                   str(tmp_path / "small.csv"))[0] == 0
+        assert rows_per_write == [1, 400, 400]
+        # a 5000-cell slab is cut at _ROWS_PER_WRITE rows, into the bytes
+        # one write would give
+        rows_per_write.clear()
+        args = ("scan", "l", "--nu", "3", "--lambda", "0:0.9:100",
+                "--alpha", "0:0.9:50", "--output")
+        assert run(capsys, *args, str(tmp_path / "cut.csv"))[0] == 0
+        assert rows_per_write == [1, 4096, 904]
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 10 ** 6)
+        assert run(capsys, *args, str(tmp_path / "whole.csv"))[0] == 0
+        assert rows_per_write[3:] == [1, 5000]
+        assert ((tmp_path / "cut.csv").read_bytes()
+                == (tmp_path / "whole.csv").read_bytes())
+
 
 class TestCritical:
     def test_golden_fixture(self, capsys):
@@ -424,3 +461,34 @@ class TestLargeOrders:
         assert code == 0
         ref = highprec_sum_oracle("qnu", 1e20, lam=0.5, alpha=0.3)
         assert self._value(out, "lhs") == pytest.approx(float(ref), abs=1e-12)
+
+
+class TestOneResolver:
+    """Every command resolves its condition through `criteria._resolve`, and
+    a missing triple is named by its flags."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "jnu", "--nu", "3"),
+        ("critical", "jnu"),
+        ("scan", "jnu", "--nu", "1", "--output", "{out}"),
+    ])
+    def test_missing_triple_names_the_flags(self, tmp_path, capsys, argv):
+        argv = [a.format(out=tmp_path / "out.csv") for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: condition 'jnu' needs --A, --B and --tau-abs\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_is_read_once_per_call(self, tmp_path, capsys, monkeypatch):
+        from besselstruve import cli
+
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tol = 1e-13\n")
+        paths = []
+        load = cli._load_config
+        monkeypatch.setattr(cli, "_load_config",
+                            lambda path: paths.append(path) or load(path))
+        code, out, _ = run(capsys, "critical", "t", "--lambda", "0.5",
+                           "--alpha", "0.3", "--config", str(cfg))
+        assert code == 0 and "nu*" in out
+        assert paths == [str(cfg)]

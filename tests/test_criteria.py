@@ -507,3 +507,47 @@ class TestSolveCost:
         assert got == nu_star
         assert len(sums) == evaluations
         assert tables == sums
+
+
+_P = ClassParams(0.5, 0.3)
+_D = DixitPalParams(0.5, -0.5, 1.0)
+
+# the entry points that take a condition name, as (condition, triple) -> call
+_NAMED_ENTRY_POINTS = {
+    "_evaluate": lambda c, d: _evaluate(c, 3.0, _P, d, ConditionForm.PROOF,
+                                        1e-12),
+    "margin_function": lambda c, d: margin_function(c, _P, d),
+    "critical_nu": lambda c, d: critical_nu(c, _P, d),
+}
+
+
+class TestOneResolver:
+    """Every entry point resolves a condition through `criteria._resolve`,
+    so each refusal has one type and one message."""
+
+    @pytest.mark.parametrize("entry", ["jnu_condition", *_NAMED_ENTRY_POINTS])
+    def test_missing_triple_has_one_message(self, entry):
+        call = _NAMED_ENTRY_POINTS.get(
+            entry, lambda c, d: jnu_condition(3.0, _P, d))
+        with pytest.raises(ParameterError) as exc:
+            call("jnu", None)
+        assert str(exc.value) == "condition 'jnu' needs DixitPalParams"
+
+    @pytest.mark.parametrize("entry", sorted(_NAMED_ENTRY_POINTS))
+    @pytest.mark.parametrize("condition", ["t", "l", "qnu"])
+    def test_triple_refused_off_the_dixit_pal_class(self, entry, condition):
+        with pytest.raises(ParameterError) as exc:
+            _NAMED_ENTRY_POINTS[entry](condition, _D)
+        assert str(exc.value) == f"condition {condition!r} takes no DixitPalParams"
+
+    @pytest.mark.parametrize("call", [lambda: critical_nu(None, _P),
+                                      lambda: margin_function(5, _P)],
+                             ids=["critical_nu(None)", "margin_function(5)"])
+    def test_non_string_condition_is_unknown(self, call):
+        with pytest.raises(ParameterError, match="unknown condition"):
+            call()
+
+    def test_name_is_case_folded_everywhere(self):
+        v = _evaluate("Convex", 3.0, _P, None, ConditionForm.PROOF, 1e-12)
+        assert v == convex_condition(3.0, _P.alpha)
+        assert margin_function("CONVEX", _P)(3.0) == v.margin

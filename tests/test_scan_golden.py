@@ -15,7 +15,8 @@ import pytest
 
 from besselstruve import (ClassParams, ConditionForm, DixitPalParams,
                           convex_condition, jnu_condition, l_condition,
-                          qnu_condition, starlike_condition, t_condition)
+                          qnu_condition, series, starlike_condition,
+                          t_condition)
 from besselstruve.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -95,3 +96,13 @@ def test_every_row_replays_through_check(tmp_path, capsys, case):
         out = capsys.readouterr().out
         assert (code == 0) == (holds == "true")
         assert f"lhs       = {lhs}\nrhs       = {rhs}\nmargin    = {margin}\n" in out
+
+
+def test_scan_builds_no_moment_set(tmp_path, capsys, monkeypatch):
+    """`scan` sums s0..s3 once per nu with `series._moment_sums`: it builds
+    no `MomentSet` and sums no m0."""
+    made = []
+    monkeypatch.setattr(series, "MomentSet", lambda *args: made.append(args))
+    data, _, _ = _scan(tmp_path, capsys, "jnu")
+    assert data == (DATA / "scan_jnu.csv").read_bytes()
+    assert made == []

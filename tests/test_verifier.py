@@ -109,6 +109,26 @@ class TestRatioRealPart:
             ratio_real_part(geometric_series(5), 0.0, 0.1, "X")
 
 
+class TestRatioFloor:
+    """`ratio_real_part` checks ``floor`` as `DiskSampling` does."""
+
+    @pytest.mark.parametrize("floor", [0.0, -0.0, -1.0, math.nan, math.inf])
+    def test_bad_floor_refused_like_disk_sampling(self, floor):
+        # z = 0 is a zero of the denominator: a floor <= 0 divided by it
+        with pytest.raises(ParameterError) as exc:
+            ratio_real_part(kernel_series(1.0), 0.0, 0.0, "T", floor=floor)
+        with pytest.raises(ParameterError) as ref:
+            DiskSampling(denominator_floor=floor)
+        assert str(exc.value) == str(ref.value)
+
+    def test_positive_floor_reports_the_degeneracy(self):
+        with pytest.raises(DenominatorDegeneracyError):
+            ratio_real_part(kernel_series(1.0), 0.0, 0.0, "T", floor=1e-300)
+
+    def test_suite_names_list_the_suites(self):
+        assert verifier.SUITE_NAMES == tuple(verifier._SUITES)
+
+
 class TestOdeResidual:
     def test_vanishing_singular_term_at_boundary(self):
         # 2nu+1 = 0: the residual of e^z reduces to |S'' - S|
