@@ -151,7 +151,7 @@ def min_real_ratio_on_circle(num, den, radius, n_points, floor):
 
 
 _U = 2.0 ** -53
-_STRIDE = 16
+_STRIDE = 64
 _MAX_TERMS = 2 ** 20
 _MAX_SIZE = 2.0 ** 400
 _MIN_DEN = 2.0 ** -400
@@ -167,12 +167,12 @@ def ratio_exceeds_on_circle(num, den, radius, n_points, floor, alpha):
     of the proof below fails; the caller then runs the scan.  Samples are
     evaluated by the scan's own `_ratio_point`, so an evaluated sample
     passes exactly when the scan's test passes there.  Schedule: j =
-    n_points//2 first (where such minima usually sit), then every 16th j.
+    n_points//2 first (where such minima usually sit), then every 64th j.
     A gap between evaluated neighbours a < b is closed when the farthest
     skipped sample on each side, (b-a)//2 from a and (b-a-1)//2 from b, is
     bounded from that neighbour; the bound grows with the distance, so the
     nearer samples follow.  Otherwise (a+b)//2 is evaluated and both halves
-    are tried again.
+    are tried again, so the stride sets the cost, not the result.
 
     Proof of the bound for a sample j skipped at distance d from the
     evaluated c.  u = 2^-53; P is the padded num or den with m

@@ -272,7 +272,7 @@ def _cmd_critical(args) -> int:
     nu_star = critical_nu(args.condition, p, extra, bracket,
                           args.margin_tol, args.nu_tol, form, args.tol)
     verdict = _evaluate(args.condition, nu_star, p, extra, form, args.tol)
-    print(f"condition : {args.condition} (form {args.form})")
+    print(f"condition : {args.condition} (form {form.value})")
     print(f"lambda    = {_fmt(p.lam)}   alpha = {_fmt(p.alpha)}")
     print(f"nu*       = {_fmt(nu_star)}")
     print(f"margin    = {_fmt(verdict.margin)}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,7 +63,7 @@ class NormalizedSeries:
     tail_ratio: Optional[float] = None
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(map(float, self.coeffs))
         if not all(map(math.isfinite, coeffs)):
             raise ParameterError("coefficients must be finite")
         if self.sign is SignConvention.NEGATIVE and any(c < 0.0 for c in coeffs):
@@ -83,7 +84,7 @@ class NormalizedSeries:
     def signed(self) -> tuple[float, ...]:
         """a_2..a_N with the sign convention applied."""
         if self.sign is SignConvention.NEGATIVE:
-            return tuple(-c for c in self.coeffs)
+            return tuple(map(operator.neg, self.coeffs))
         return self.coeffs
 
     def poly_coeffs(self) -> list[float]:
@@ -106,7 +107,7 @@ def hadamard(f: NormalizedSeries, g: NormalizedSeries) -> NormalizedSeries:
     """
     if len(f.coeffs) > len(g.coeffs):
         f, g = g, f
-    prod = tuple(a * b for a, b in zip(f.signed(), g.signed()))
+    prod = tuple(map(operator.mul, f.signed(), g.signed()))
     if len(prod) < len(g.coeffs):
         tail, ratio = _product_certificate(f, g)
     else:
@@ -116,7 +117,8 @@ def hadamard(f: NormalizedSeries, g: NormalizedSeries) -> NormalizedSeries:
     # keep the magnitude representation when exactly one factor is negative
     if (f.sign is SignConvention.NEGATIVE) != (g.sign is SignConvention.NEGATIVE) \
             and all(c <= 0.0 for c in prod):
-        return NormalizedSeries(tuple(-c for c in prod), SignConvention.NEGATIVE,
+        return NormalizedSeries(tuple(map(operator.neg, prod)),
+                                SignConvention.NEGATIVE,
                                 tail, ratio)
     return NormalizedSeries(prod, SignConvention.GENERAL, tail, ratio)
 
@@ -176,7 +178,7 @@ def q_operator(nu, n_terms: int) -> NormalizedSeries:
     order = _operator_order(nu)
     n_terms = _check_index(n_terms, "n_terms", 1)
     vals = kernels.coefficient_table(order.nu, n_terms + 1)
-    coeffs = tuple(vals[n - 1] / n for n in range(2, n_terms + 1))
+    coeffs = tuple(map(operator.truediv, vals[1:n_terms], range(2, n_terms + 1)))
     # b_n = c_{n-1}/n: past N the ratio is at most the c-ratio q, the larger
     # of the two at N-1 (the c-ratio decreases along each parity), and
     # sum_{n>N} b_n <= c_{N-1}/(N+1) * sum_{k>=1} q^k.  Rounding puts q just
@@ -257,7 +259,8 @@ def _coefficient_sum(f: NormalizedSeries, p: ClassParams,
         w = lambda n: n * (n * lam - lam + 1.0) * (n - alpha)
     else:
         w = lambda n: (n * lam - lam + 1.0) * (n - alpha)
-    total = math.fsum(w(n) * abs(c) for n, c in enumerate(f.coeffs, start=2))
+    total = math.fsum(map(operator.mul, map(w, range(2, len(f.coeffs) + 2)),
+                          map(abs, f.coeffs)))
     tail = 0.0 if f.tail_bound == 0.0 else math.inf
     base = abs(f.coeffs[-1]) if f.coeffs else 0.0
     if tail == math.inf and f.tail_ratio is not None and base > 0.0:
@@ -293,7 +296,7 @@ def rtab_extremal_sequence(d: DixitPalParams, n_terms: int) -> NormalizedSeries:
         raise ParameterError(f"expected DixitPalParams, got {d!r}")
     n_terms = _check_index(n_terms, "n_terms", 1)
     scale = (d.a - d.b) * d.tau_abs
-    return NormalizedSeries(tuple(scale / n for n in range(2, n_terms + 1)))
+    return NormalizedSeries(tuple(map(scale.__truediv__, range(2, n_terms + 1))))
 
 
 def write_series(path, f: NormalizedSeries) -> None:

@@ -8,9 +8,10 @@ Three unrelated routes cross-check the `criteria` module:
 * the termwise differential-equation residual of the kernel;
 * a 50-digit summation oracle that recomputes every left-hand side from the
   literal Gamma-quotient coefficients, sharing no code with the double
-  precision path.  Its sums run on raw mpf values: each weight is exact,
-  and each product and partial sum is rounded once.  Past nu = 1e30 it
-  adds one digit per decade of nu.
+  precision path.  Its sums run termwise on Python integers: each weight
+  is exact, and each product and partial sum is rounded once, with the
+  bits of the mpf operation.  Past nu = 1e30 it adds one digit per decade
+  of nu.
 
 `run_suites` packages these as seeded pass/fail checks for the CLI.
 """
@@ -156,28 +157,37 @@ def ode_residual(nu, z, tol: float = 1e-12) -> float:
     summed as its own series sum_k (k+2) c_{k+2} z^k, so its rounding does
     not grow as z -> 0.  At z = 0 the removable singularity is replaced by
     the lowest-order coefficient identity |(4nu+4)c_2 - c_0|.  The boundary
-    nu = -1/2 is accepted: the singular factor 2nu+1 vanishes there.
+    nu = -1/2 is accepted: the singular factor 2nu+1 vanishes there.  The
+    three coefficient arrays are formed once per (nu, tol) (`_ode_arrays`).
     """
     order = _as_order(nu)
     if order.nu < -0.5:
         raise DomainError(f"residual check requires nu >= -1/2, got {order.nu}")
     tol = _check_tol(tol)
-    vals, _, _ = _cached_table(order.nu, tol, 2)
+    vals, dq, d2 = _ode_arrays(order.nu, tol)
     z = complex(z)
     if z == 0:
         return abs((4.0 * order.nu + 4.0) * vals[2] - vals[0])
-    dq = [(k + 2) * vals[k + 2] for k in range(len(vals) - 2)]
-    d2 = [(k + 2) * (k + 1) * vals[k + 2] for k in range(len(vals) - 2)]
     s0 = complex(*kernels.horner(vals, z.real, z.imag))
     quot = complex(*kernels.horner(dq, z.real, z.imag))
     s2 = complex(*kernels.horner(d2, z.real, z.imag))
     return abs(s2 + (2.0 * order.nu + 1.0) * quot - s0)
 
 
+@lru_cache(maxsize=64)
+def _ode_arrays(nu: float, tol: float):
+    """The table c_k of `ode_residual` and its derived coefficients
+    (k+2) c_{k+2} and (k+2)(k+1) c_{k+2}, as tuples."""
+    vals = _cached_table(nu, tol, 2)[0]
+    ks = range(len(vals) - 2)
+    return (vals, tuple((k + 2) * vals[k + 2] for k in ks),
+            tuple((k + 2) * (k + 1) * vals[k + 2] for k in ks))
+
+
 # ----------------------------------------------------------------------------
 # 50-digit summation oracle.  Deliberately naive and self-contained: the
 # coefficients come from the literal Gamma-quotient formula and every sum is
-# a plain termwise loop, on raw mpf values, with an explicit geometric
+# a plain termwise loop, on Python integers, with an explicit geometric
 # remainder bound.
 
 _ORACLE_DPS = 50
@@ -198,40 +208,55 @@ SELECTORS = ("c",) + _M_SELECTORS + _S_SELECTORS + (
 
 @lru_cache(maxsize=8)
 def _context(dps):
-    """The mpmath context at ``dps`` digits, with `_oracle_sum`'s ``stops``."""
+    """The mpmath context at ``dps`` digits, with `_oracle_sum`'s ``stops``
+    and ``coefficient_ops``, the `mpmath.libmp` names `_oracle_coefficient`
+    calls, resolved once."""
     import mpmath
+    from mpmath import libmp
 
     ctx = mpmath.MPContext()
     ctx.dps = dps
     ctx.stops = ctx.mpf("1e-40")._mpf_, ctx.mpf("1e-30")._mpf_
+    ctx.coefficient_ops = (libmp.fone, libmp.from_man_exp, libmp.mpf_add,
+                           libmp.mpf_mul, libmp.mpf_div, libmp.mpf_gamma)
     return ctx
 
 
 @lru_cache(maxsize=512)
 def _index_factors(n, dps):
-    """(Gamma((n+1)/2), sqrt(pi) * n!) at ``dps`` digits."""
+    """(Gamma((n+1)/2), sqrt(pi) * n!) at ``dps`` digits, as raw mpf values."""
     ctx = _context(dps)
-    return ctx.gamma(ctx.mpf(n + 1) / 2), ctx.sqrt(ctx.pi) * ctx.factorial(n)
+    return (ctx.gamma(ctx.mpf(n + 1) / 2)._mpf_,
+            (ctx.sqrt(ctx.pi) * ctx.factorial(n))._mpf_)
 
 
 @lru_cache(maxsize=16)
 def _order_store(nu, dps):
-    """(Gamma(nu+1), {n: raw c_n}) of the mpf order ``nu`` at ``dps`` digits.
+    """(Gamma(nu+1), {n: c_n}) of the order ``nu`` at ``dps`` digits, all
+    raw mpf values; keyed on the raw ``nu``, which hashes faster than an mpf.
 
     Every caller shares the dict and fills it with ``setdefault`` as sums
     reach further: a value is the same whichever thread computes it."""
-    return _context(dps).gamma(nu + 1), {}
+    ctx = _context(dps)
+    return ctx.gamma(ctx.make_mpf(nu) + 1)._mpf_, {}
 
 
 def _oracle_coefficient(ctx, nu, n):
     """Gamma(nu+1) Gamma((n+1)/2) / (sqrt(pi) n! Gamma(n/2+nu+1)).
 
-    The literal quotient, formed in this operation order in the context
-    ``ctx`` from the stored factors of `_index_factors` and `_order_store`.
+    The literal quotient, formed from the stored factors of `_index_factors`
+    and `_order_store` by the `mpmath.libmp` calls that the mpf expression
+    Gamma(nu+1) * Gamma((n+1)/2) / (sqrt(pi) n! * gamma(mpf(n)/2 + nu + 1))
+    makes in the context ``ctx``, in that order and rounded to nearest at
+    its precision (n/2 is exact).  Returns an mpf of ``ctx``.
     """
+    one, from_man_exp, add, mul, div, gamma = ctx.coefficient_ops
+    prec, nu = ctx.prec, nu._mpf_
     gamma_half, sqrt_pi_factorial = _index_factors(n, ctx.dps)
-    return (_order_store(nu, ctx.dps)[0] * gamma_half
-            / (sqrt_pi_factorial * ctx.gamma(ctx.mpf(n) / 2 + nu + 1)))
+    arg = add(add(from_man_exp(n, -1), nu, prec, "n"), one, prec, "n")
+    return ctx.make_mpf(div(
+        mul(_order_store(nu, ctx.dps)[0], gamma_half, prec, "n"),
+        mul(sqrt_pi_factorial, gamma(arg, prec, "n"), prec, "n"), prec, "n"))
 
 
 def _oracle_dps(nu: float) -> int:
@@ -256,38 +281,71 @@ def _fixed_point(x):
     return (-man if sign else man), exp
 
 
-def _oracle_sum(ctx, termfn, start: int):
-    """sum_{n>=start} termfn(n) for positive factorially decaying terms.
+def _round(man, exp, prec):
+    """man * 2**exp rounded to ``prec`` bits, ties to even, as (man, exp).
+
+    The rounding of mpmath's ``normalize(..., prec, "n")``, of a signed
+    integer mantissa that need not be normalized.  The result's magnitude
+    is below 2**prec, or equal to it after a carry.
+    """
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    mag = -man if man < 0 else man
+    t = mag >> (n - 1)
+    if t & 1 and (t & 2 or mag & ((1 << (n - 1)) - 1)):
+        t = (t >> 1) + 1
+    else:
+        t >>= 1
+    return (-t if man < 0 else t), exp + n
+
+
+def _oracle_sum(ctx, coef, weight, shift: int, start: int):
+    """sum_{n>=start} coef(n) * weight(n) * 2**shift for positive
+    factorially decaying terms.
 
     Stops once the term is below 1e-40 and certifies the remainder by the
-    geometric bound term*r/(1-r) < 1e-30.  ``termfn`` returns a raw mpf
-    value (an ``_mpf_`` tuple) and the term, total, ratio and remainder
-    stay raw, so no mpf object is made per term: each operation is the
-    `mpmath.libmp` call the mpf operator makes, at the precision of the
-    context ``ctx`` rounded to nearest, and rounds exactly as that operator
-    does.  Returns an mpf of ``ctx``.
+    geometric bound term*r/(1-r) < 1e-30.  ``coef`` returns a raw mpf
+    value (an ``_mpf_`` tuple) and ``weight`` an integer.  Each term is
+    the coefficient's mantissa times the weight, and it and each running
+    total are rounded by `_round` at the precision of the context ``ctx``:
+    exactly as the mpf product by an integer and the mpf sum round, on
+    Python integers (the shift by 2**shift is exact, so it only moves the
+    exponent).  Raw mpf values are built only where the stop test can
+    pass, which an exponent test rules out for a term of at least 2**-132;
+    the test itself runs the `mpmath.libmp` calls the mpf operators make.
+    Returns an mpf of ``ctx``.
     """
-    from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_lt, mpf_mul,
-                              mpf_sub)
+    from mpmath.libmp import fone, from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_sub
 
     prec = ctx.prec
     small_term, small_rem = ctx.stops
-    total = fzero
-    prev = None
+    # every term of at least 2**low exceeds small_term
+    low = small_term[2] + small_term[3]
+    total = total_exp = 0
     n = start
     while True:
-        term = termfn(n)
-        total = mpf_add(total, term, prec, "n")
-        if prev is not None and n - start > 8 and mpf_lt(term, small_term):
-            r = mpf_div(term, prev, prec, "n")
-            if mpf_lt(r, fone):
-                rem = mpf_div(mpf_mul(term, r, prec, "n"),
-                              mpf_sub(fone, r, prec, "n"), prec, "n")
-                if mpf_lt(rem, small_rem):
-                    return ctx.make_mpf(total)
+        sign, man, exp, _ = coef(n)
+        term, exp = _round((-man if sign else man) * weight(n), exp + shift,
+                           prec)
+        if exp >= total_exp:
+            total += term << (exp - total_exp)
+        else:
+            total = (total << (total_exp - exp)) + term
+            total_exp = exp
+        total, total_exp = _round(total, total_exp, prec)
+        if n - start > 8 and (term <= 0 or exp + term.bit_length() <= low):
+            raw = from_man_exp(term, exp)
+            if mpf_lt(raw, small_term):
+                r = mpf_div(raw, from_man_exp(*prev), prec, "n")
+                if mpf_lt(r, fone):
+                    rem = mpf_div(mpf_mul(raw, r, prec, "n"),
+                                  mpf_sub(fone, r, prec, "n"), prec, "n")
+                    if mpf_lt(rem, small_rem):
+                        return ctx.make_mpf(from_man_exp(total, total_exp))
         if n - start > 100_000:
             raise RuntimeError("oracle summation failed to converge")
-        prev = term
+        prev = term, exp
         n += 1
 
 
@@ -311,8 +369,10 @@ def highprec_sum_oracle(selector: str, nu, n: Optional[int] = None,
     169-bit working precision (every sum ends before i = 64), so each term
     rounds exactly like the termwise mpf product; for smaller nonzero lam
     or alpha the result is the exactly weighted sum.  qnu's c_{i-1}/i and
-    jnu's (c_{i-1}*scale)/i are rounded as written.  The working precision
-    is 50 digits, plus one per decade of nu past 1e30 (see `_oracle_dps`).
+    jnu's (c_{i-1}*scale)/i are rounded as written.  The sums themselves
+    run on Python integers (`_oracle_sum`) and give the bits of the
+    termwise mpf loop.  The working precision is 50 digits, plus one per
+    decade of nu past 1e30 (see `_oracle_dps`).
     """
     import mpmath
 
@@ -330,14 +390,14 @@ def highprec_sum_oracle(selector: str, nu, n: Optional[int] = None,
 
 def _oracle_value(ctx, selector, nu, n, lam, alpha, a, b, tau_abs):
     """`highprec_sum_oracle` of checked arguments, as an mpf of ``ctx``."""
-    from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_mul_int, mpf_shift
+    from mpmath.libmp import from_int, mpf_div, mpf_mul
 
     nu_mp = ctx.mpf(nu)
     if selector == "c":
         return _oracle_coefficient(ctx, nu_mp, n)
     lam_mp, alpha_mp = ctx.mpf(lam), ctx.mpf(alpha)
     prec = ctx.prec
-    coeffs = _order_store(nu_mp, ctx.dps)[1]
+    coeffs = _order_store(nu_mp._mpf_, ctx.dps)[1]
 
     def c(k):
         return coeffs.get(k) or coeffs.setdefault(
@@ -345,13 +405,11 @@ def _oracle_value(ctx, selector, nu, n, lam, alpha, a, b, tau_abs):
 
     def derivative(k):
         """S^(k)(1) = sum_{i>=k} i(i-1)...(i-k+1) c_i."""
-        return _oracle_sum(
-            ctx, lambda i: mpf_mul_int(c(i), math.perm(i, k), prec, "n"), k)
+        return _oracle_sum(ctx, c, lambda i: math.perm(i, k), 0, k)
 
     if selector in _M_SELECTORS:
         k = int(selector[1])
-        return _oracle_sum(
-            ctx, lambda i: mpf_mul_int(c(i - 1), i ** k, prec, "n"), 2)
+        return _oracle_sum(ctx, lambda i: c(i - 1), lambda i: i ** k, 0, 2)
     if selector in _S_SELECTORS:
         return derivative(int(selector[1]))
     if selector == "t_stated":
@@ -388,8 +446,7 @@ def _oracle_value(ctx, selector, nu, n, lam, alpha, a, b, tau_abs):
         coef = lambda i: mpf_div(c(i - 1), from_int(i), prec, "n")
     else:
         coef = lambda i: c(i - 1)
-    total = _oracle_sum(ctx, lambda i: mpf_shift(
-        mpf_mul_int(coef(i), weight(i), prec, "n"), shift), 2)
+    total = _oracle_sum(ctx, coef, weight, shift, 2)
     return total if selector == "jnu" else total + (1 - alpha_mp)
 
 

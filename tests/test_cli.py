@@ -257,6 +257,22 @@ class TestCritical:
                           if l.startswith("nu*")][0].split("=")[1])
         assert nu_star("0.5") > nu_star("0")
 
+    @pytest.mark.parametrize("condition, form, label", [
+        ("l", "stated", "proof"),
+        ("qnu", "stated", "proof"),
+        ("t", "stated", "stated"),
+        ("t", "proof", "proof"),
+    ])
+    def test_prints_the_form_it_solved(self, capsys, condition, form, label):
+        # the label `check` prints for the same request: only t has a
+        # stated form, and every other condition is solved by its proof rule
+        args = ("--form", form, "--lambda", "0.5", "--alpha", "0.3")
+        code, out, _ = run(capsys, "critical", condition, *args)
+        assert code == 0
+        assert out.splitlines()[0] == f"condition : {condition} (form {label})"
+        _, checked, _ = run(capsys, "check", condition, "--nu", "20", *args)
+        assert checked.splitlines()[0] == out.splitlines()[0]
+
 
 class TestVerify:
     def test_moments_suite_passes(self, capsys):

@@ -21,8 +21,9 @@ from besselstruve import (ClassParams, DenominatorDegeneracyError, DiskSampling,
 from besselstruve import _pykernels, verifier
 from besselstruve._pykernels import (horner, min_real_ratio_on_circle,
                                      ratio_exceeds_on_circle)
-from besselstruve.verifier import (_context, _oracle_coefficient,
-                                   _ratio_arrays, _suite_sufficiency, run_suites,
+from besselstruve.verifier import (_context, _oracle_coefficient, _oracle_dps,
+                                   _ratio_arrays, _round, _suite_sufficiency,
+                                   run_suites,
                                    sample_necessity_tuples,
                                    sample_sufficiency_tuples)
 
@@ -467,6 +468,29 @@ class TestSufficiencyProof:
         # 17 scheduled samples of 257 per tuple, 60 tuples per suite
         assert calls[0] <= 3 * 60 * 20
 
+    def test_suite_proofs_evaluate_at_most_eight_samples(self, monkeypatch):
+        # every 64th of 257 samples and the last one are 5; no tuple of
+        # these seeds needs more than 3 bisections
+        scans = []
+        monkeypatch.setattr(verifier, "_circle_min",
+                            lambda *args: scans.append(args))
+        calls = _counting_points(monkeypatch)
+        exceeds = _pykernels.ratio_exceeds_on_circle
+        per_tuple = []
+
+        def counted(*args):
+            before = calls[0]
+            proved = exceeds(*args)
+            per_tuple.append(calls[0] - before)
+            return proved
+
+        monkeypatch.setattr(_pykernels, "ratio_exceeds_on_circle", counted)
+        for seed in (3, 11, 2024):
+            _suite_sufficiency(seed)
+        assert scans == []
+        assert len(per_tuple) == 3 * 60
+        assert max(per_tuple) <= 8
+
 
 def _literal_coefficient(nu, n):
     return (mpmath.gamma(nu + 1) * mpmath.gamma(mpmath.mpf(n + 1) / 2)
@@ -598,13 +622,13 @@ def _reference_sum(termfn, start):
 
 
 def _reference_oracle(selector, nu, n=None, lam=0.0, alpha=0.0, a=1.0, b=-1.0,
-                      tau_abs=1.0):
-    """Every selector as a termwise mpf expression at 50 digits."""
-    with mpmath.workdps(50):
+                      tau_abs=1.0, dps=50):
+    """Every selector as a termwise mpf expression at ``dps`` digits."""
+    with mpmath.workdps(dps):
         nu_mp = mpmath.mpf(nu)
         lam_mp = mpmath.mpf(lam)
         alpha_mp = mpmath.mpf(alpha)
-        c = lambda k: _oracle_coefficient(_context(50), nu_mp, k)
+        c = lambda k: _oracle_coefficient(_context(dps), nu_mp, k)
         if selector == "c":
             return c(n)
         if selector in ("m0", "m1", "m2", "m3"):
@@ -659,6 +683,17 @@ class TestRawOracle:
             index = n if sel == "c" else None
             got = highprec_sum_oracle(sel, nu, n=index, **kw)
             assert got == _reference_oracle(sel, nu, n=index, **kw), sel
+
+    @pytest.mark.parametrize("nu", (3e30, 1e52, 1e300))
+    def test_bit_identical_past_fifty_digits(self, nu):
+        # past nu = 1e30 the oracle works at more than 50 digits
+        from besselstruve.verifier import SELECTORS
+        dps = _oracle_dps(nu)
+        assert dps > 50
+        kw = dict(lam=0.3, alpha=0.2, a=0.7, b=-0.6, tau_abs=0.85)
+        for sel in SELECTORS[1:]:
+            got = highprec_sum_oracle(sel, nu, **kw)
+            assert got == _reference_oracle(sel, nu, dps=dps, **kw), sel
 
     def test_warm_call_makes_almost_no_mpf_operations(self, monkeypatch):
         highprec_sum_oracle("l", 3.0, lam=0.3, alpha=0.2)
@@ -734,3 +769,46 @@ class TestRawOracle:
                          s1 - up / (k + 1) - c1)
             bound = (2 * mpmath.mpf(nu) + 2) * mpmath.mpf("1e-40")
             assert max(abs(r) for r in residuals) <= bound
+
+
+# ---------------------------------------------------------------------------
+# The integer rounding of the oracle sums against mpmath's own.
+
+@st.composite
+def _rounding_cases(draw):
+    """(man, prec): a random signed mantissa, an exact tie between two
+    quotients (odd or even), or a carry that adds a bit."""
+    prec = draw(st.sampled_from((169, 1063)))
+    drop = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(("random", "tie", "carry")))
+    if kind == "random":
+        man = draw(st.integers(0, 1 << (prec + drop)))
+    elif kind == "tie":
+        q = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+        man = (q << drop) | (1 << (drop - 1))
+    else:
+        # all prec quotient bits set: a round bit carries into a new one
+        low = draw(st.integers(1 << (drop - 1), (1 << drop) - 1))
+        man = (((1 << prec) - 1) << drop) | low
+    return (-man if draw(st.booleans()) else man), prec
+
+
+class TestIntegerRounding:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=_rounding_cases(), exp=st.integers(-2000, 2000))
+    def test_equals_mpmath_normalize(self, case, exp):
+        from mpmath.libmp import from_man_exp, normalize
+        man, prec = case
+        got_man, got_exp = _round(man, exp, prec)
+        assert abs(got_man) <= 1 << prec
+        mag = abs(man)
+        want = normalize(int(man < 0), mag, exp, mag.bit_length(), prec, "n")
+        assert from_man_exp(got_man, got_exp) == want
+
+    def test_ties_go_to_the_even_quotient_and_carry(self):
+        assert _round(0b1011, 0, 3) == (0b110, 1)   # 101.1 -> 110
+        assert _round(0b1001, 0, 3) == (0b100, 1)   # 100.1 -> 100
+        assert _round(-0b1011, 0, 3) == (-0b110, 1)
+        assert _round(0b1111, 5, 3) == (0b1000, 6)  # 111.1 -> 1000
+        assert _round(0b101, 7, 3) == (0b101, 7)
+        assert _round(0, 7, 3) == (0, 7)
